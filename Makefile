@@ -11,7 +11,7 @@ test: lint-heights lint-no-design-pickle
 	$(PYTHON) -m pytest tests/
 
 # Grep-lint: new code must speak HeightSpec, not the legacy
-# minority/majority vocabulary (the shim keeps old callers working).
+# minority/majority vocabulary (a per-file count that only ratchets down).
 lint-heights:
 	$(PYTHON) scripts/lint_heights.py
 

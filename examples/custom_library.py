@@ -12,7 +12,7 @@ LEF subset and the netlist through structural Verilog.
 Run:  python examples/custom_library.py
 """
 
-from repro import RCPPParams, RowConstraintPlacer
+from repro import HeightSpec, RCPPParams, RowConstraintPlacer
 from repro.geometry import Point
 from repro.netlist import GeneratorSpec, generate_netlist, size_to_minority_fraction
 from repro.netlist.verilog import parse_verilog, write_verilog
@@ -97,8 +97,9 @@ def main() -> None:
     assert reparsed.num_nets == design.num_nets
     print("verilog round trip: OK")
 
+    heights = HeightSpec.two_height(majority_track=9.0, minority_track=12.0)
     result = RowConstraintPlacer(
-        library, RCPPParams(minority_track=12.0)
+        library, RCPPParams(heights=heights)
     ).place(design)
     print(f"minority rows: {result.assignment.n_minority_rows}")
     print(f"HPWL: {result.hpwl / 1e6:.3f} mm "

@@ -200,41 +200,18 @@ def rap_instance(library):
     Exactly the instance ``FlowRunner.ilp_assignment`` hands to the
     solver chain (default params, ``row_fill`` already applied).
     """
-    from repro.core.clustering import cluster_minority_cells
-    from repro.core.cost import compute_rap_costs
     from repro.core.params import RCPPParams
-    from repro.core.rap import required_minority_pairs
 
     params = RCPPParams()
     design = build_testcase(testcase_by_id(RAP_TESTCASE), library, scale=1.0)
     init = prepare_initial_placement(design, library)
-    cx = init.placed.x[init.minority_indices] + init.placed.widths[
-        init.minority_indices
-    ] / 2.0
-    cy = init.placed.y[init.minority_indices] + init.placed.heights[
-        init.minority_indices
-    ] / 2.0
-    clustering = cluster_minority_cells(
-        cx, cy, params.s, params.kmeans_max_iterations
-    )
-    costs = compute_rap_costs(
-        init.placed,
-        init.minority_indices,
-        clustering.labels,
-        clustering.n_clusters,
-        init.pair_center_y,
-        init.minority_widths_original,
-    )
-    n_minr = required_minority_pairs(
-        float(init.minority_widths_original.sum()),
-        float(init.pair_capacity.min()),
-        params.minority_fill_target,
-    )
+    runner = FlowRunner(init, params)
+    f_by, w_by, _ = runner._cluster_costs()
     return (
-        costs.combine(params.alpha),
-        costs.cluster_width,
+        f_by[0],
+        w_by[0],
         init.pair_capacity * params.row_fill,
-        n_minr,
+        runner.n_minority_rows,
         design.num_instances,
     )
 
@@ -301,25 +278,25 @@ def bench_race(library, repeats):
     certified answer wins.  The pool is forked and warmed outside the
     timed region — steady-state cost, not cold-start.
     """
-    from repro.core.rap import solve_rap_resilient
+    from repro.core.heights import solve_rap_resilient
     from repro.utils.supervise import get_shared_pool
 
     f, w, cap, n_minr, n_cells = rap_instance(library)
-    labels = np.arange(f.shape[0])
-    common = dict(row_fill=1.0)  # capacity already has row_fill applied
+    # One class; capacity already has row_fill applied.
+    instance = ([f], [w], cap, [n_minr], [np.arange(f.shape[0])], [7.5])
 
     seq_result = [None]
 
     def run_seq():
         seq_result[0] = solve_rap_resilient(
-            f, w, cap, n_minr, labels, workers=1, **common
+            *instance, row_fill=1.0, workers=1
         )
 
     race_result = [None]
 
     def run_race():
         race_result[0] = solve_rap_resilient(
-            f, w, cap, n_minr, labels, workers=RACE_WORKERS, **common
+            *instance, row_fill=1.0, workers=RACE_WORKERS
         )
 
     if RACE_WORKERS > 1:
@@ -359,13 +336,11 @@ def bench_race(library, repeats):
 def nheight_instance():
     """N=3 joint RAP arrays of ``NHEIGHT_TESTCASE`` at the sweep scale.
 
-    Exactly the instance ``FlowRunner._ilp_assignment_nheight`` hands to
-    the joint solver (default params, ``row_fill`` already applied):
+    Exactly the instance ``FlowRunner.ilp_assignment`` hands to the
+    joint solver (default params, ``row_fill`` already applied):
     per-class cost matrices and widths in spec order, the shared pair
     capacity, and the per-class row-pair budgets.
     """
-    from repro.core.clustering import cluster_minority_cells
-    from repro.core.cost import compute_rap_costs
     from repro.core.heights import HeightSpec
     from repro.core.params import RCPPParams
     from repro.experiments.testcases import (
@@ -381,30 +356,13 @@ def nheight_instance():
     design = build_nheight_testcase(spec3, library, scale=DEFAULT_SCALE)
     init = prepare_initial_placement(design, library, heights=heights)
     runner = FlowRunner(init, params)
-    budgets = runner.row_budgets
-    f_by, w_by = [], []
-    for track, indices, widths in runner._classes:
-        cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
-        cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
-        clustering = cluster_minority_cells(
-            cx, cy, params.s, params.kmeans_max_iterations
-        )
-        costs = compute_rap_costs(
-            init.placed,
-            indices,
-            clustering.labels,
-            clustering.n_clusters,
-            init.pair_center_y,
-            widths,
-        )
-        f_by.append(costs.combine(params.alpha))
-        w_by.append(costs.cluster_width)
+    f_by, w_by, _ = runner._cluster_costs()
     return (
         f_by,
         w_by,
         init.pair_capacity * params.row_fill,
-        [budgets[t] for t, _, _ in runner._classes],
-        [t for t, _, _ in runner._classes],
+        runner._budgets(),
+        runner._tracks(),
         design.num_instances,
     )
 
@@ -902,6 +860,12 @@ def main() -> int:
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "python": platform.python_version(),
+            # Size of the library, counted as `find src -name '*.py' |
+            # xargs cat | wc -l` does: deleted lines are progress too.
+            "src_lines": sum(
+                p.read_bytes().count(b"\n")
+                for p in (ROOT / "src").rglob("*.py")
+            ),
         },
         "kernels": kernels,
         "baseline": BASELINE,

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Grep-lint: new code must use HeightSpec, not the legacy vocabulary.
 
-The N-height generalization keeps the two-height kwargs
-(``minority_track`` / ``minority_fill_target`` / ``n_minority_rows``)
-alive as deprecation shims, so the legacy names legitimately survive in
-the modules that *define* the compatibility surface and in pre-existing
-internals.  But they must not spread: this lint counts references to the
-legacy names per file under ``src/repro`` and fails when
+The two-height names (``minority_track`` / ``minority_fill_target`` /
+``n_minority_rows``) survive in :meth:`HeightSpec.two_height` and in
+pre-existing internals.  They must not spread: this lint counts
+references to the legacy names per file under ``src/repro`` and fails
+when
 
 * a file NOT in the committed baseline references them (new module wrote
   against the deprecated surface), or
@@ -14,8 +13,8 @@ legacy names per file under ``src/repro`` and fails when
 
 Shrinking a count is fine — it just means a file migrated further onto
 ``HeightSpec``; the lint prints a reminder to ratchet the baseline down.
-The shim modules (``core/heights.py``, ``core/params.py``) are exempt:
-they exist to spell the old names.
+``core/heights.py`` is exempt: its two-height constructor spells the old
+names as keyword arguments.
 
 Run directly (``python scripts/lint_heights.py``) or via ``make test``
 (the ``lint-heights`` prerequisite).  Exit 0 = clean, 1 = violations.
@@ -36,30 +35,24 @@ LEGACY = re.compile(
     r"\bminority_track\b|\bminority_fill_target\b|\bn_minority_rows\b"
 )
 
-#: Modules that define the deprecation shims — exempt from the ratchet.
-SHIM_MODULES = frozenset({"core/heights.py", "core/params.py"})
+#: Modules that spell the legacy names on purpose — exempt from the ratchet.
+SHIM_MODULES = frozenset({"core/heights.py"})
 
-#: Committed reference counts per file (relative to ``src/repro``) at
-#: the commit introducing this lint.  A file may only move DOWN from
+#: Committed reference counts per file (relative to ``src/repro``),
+#: ratcheted down as files migrate.  A file may only move DOWN from
 #: here; growth or a new file with references fails the gate.
 BASELINE: dict[str, int] = {
     "__init__.py": 1,
     "cli.py": 1,
-    "core/alternating.py": 12,
-    "core/baseline.py": 7,
-    "core/config.py": 2,
+    "core/alternating.py": 8,
+    "core/config.py": 1,
     "core/fence.py": 3,
-    "core/flows.py": 37,
-    "core/legalize_abacus_rc.py": 2,
-    "core/legalize_rc.py": 4,
-    "core/rap.py": 32,
-    "core/rcpp.py": 3,
+    "core/flows.py": 22,
+    "core/rap.py": 18,
     "core/region.py": 5,
     "core/sparse_rap.py": 37,
     "core/swap.py": 2,
     "eval/visualize.py": 2,
-    "experiments/artifact_cache.py": 4,
-    "experiments/runner.py": 2,
     "experiments/sensitivity.py": 1,
     "experiments/sweep_engine.py": 3,
     "experiments/sweeps.py": 5,

@@ -17,7 +17,7 @@ from repro.core.heights import (
     build_nheight_rap_model,
     greedy_nheight,
     solve_rap_nheight,
-    solve_rap_nheight_resilient,
+    solve_rap_resilient,
 )
 from repro.core.clustering import ClusteringResult, cluster_minority_cells, kmeans_2d
 from repro.core.cost import RapCosts, compute_rap_costs
@@ -34,10 +34,7 @@ from repro.core.alternating import (
     solve_fixed_pattern_rap,
     sweep_pattern_phases,
 )
-from repro.core.baseline import (
-    baseline_row_assignment,
-    baseline_row_assignment_nheight,
-)
+from repro.core.baseline import baseline_row_assignment
 from repro.core.fence import FenceRegions
 from repro.core.flows import FlowKind, FlowResult, run_flow
 from repro.core.rcpp import RowConstraintPlacer, RowConstraintResult
@@ -52,7 +49,7 @@ __all__ = [
     "build_nheight_rap_model",
     "greedy_nheight",
     "solve_rap_nheight",
-    "solve_rap_nheight_resilient",
+    "solve_rap_resilient",
     "ClusteringResult",
     "cluster_minority_cells",
     "kmeans_2d",
@@ -70,7 +67,6 @@ __all__ = [
     "solve_fixed_pattern_rap",
     "sweep_pattern_phases",
     "baseline_row_assignment",
-    "baseline_row_assignment_nheight",
     "RegionResult",
     "region_based_flow",
     "SwapResult",

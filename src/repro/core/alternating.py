@@ -23,25 +23,27 @@ from repro.solvers.milp import MilpModel, solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
 
 
-def _resolve_pattern_tracks(
+def _pattern_spec(
     heights: HeightSpec | None,
     majority_track: float,
     minority_track: float,
-) -> tuple[float, float]:
-    """Fold an optional HeightSpec into the pattern's two track heights.
+) -> HeightSpec:
+    """The pattern's two-entry spec: ``heights``, else the two tracks.
 
     Fixed alternating patterns are defined for two-height designs (the
     FinFlex N3E style the paper cites); N-height specs are rejected until
     a published N-height pattern exists to model.
     """
     if heights is None:
-        return majority_track, minority_track
+        return HeightSpec.two_height(
+            majority_track=majority_track, minority_track=minority_track
+        )
     if not heights.is_two_height:
         raise ValidationError(
             "fixed-pattern RAP supports two-height specs only; got "
             f"{len(heights.minority)} minority classes"
         )
-    return heights.majority, heights.minority_tracks[0]
+    return heights
 
 
 def alternating_pattern(
@@ -92,9 +94,8 @@ def solve_fixed_pattern_rap(
     every assigned pair belongs to this pattern.  ``heights`` (two-height
     specs only) overrides ``majority_track``/``minority_track``.
     """
-    majority_track, minority_track = _resolve_pattern_tracks(
-        heights, majority_track, minority_track
-    )
+    spec = _pattern_spec(heights, majority_track, minority_track)
+    track = spec.minority_tracks[0]
     n_c, n_p = f.shape
     minority_pairs = np.asarray(minority_pairs, dtype=int)
     k = len(minority_pairs)
@@ -140,22 +141,21 @@ def solve_fixed_pattern_rap(
     if not solution.ok or solution.x is None:
         raise InfeasibleError(f"fixed-pattern RAP failed: {solution.status}")
     x = np.round(solution.x).reshape(n_c, k)
-    cluster_to_sub = np.argmax(x, axis=1)
-    cluster_to_pair = minority_pairs[cluster_to_sub]
-    used = np.unique(cluster_to_pair)
-    pair_tracks = [
-        minority_track if p in set(minority_pairs.tolist()) else majority_track
-        for p in range(n_p)
-    ]
+    cluster_to_pair = minority_pairs[np.argmax(x, axis=1)]
+    cell_to_pair = cluster_to_pair[labels]
+    pair_tracks = [spec.majority] * n_p
+    for p in minority_pairs.tolist():
+        pair_tracks[p] = track
     return RowAssignment(
         pair_tracks=pair_tracks,
         minority_pairs=minority_pairs,
         cluster_to_pair=cluster_to_pair,
-        cell_to_pair=cluster_to_pair[labels],
+        cell_to_pair=cell_to_pair,
         objective=solution.objective,
         ilp_runtime_s=solution.runtime_s,
         num_variables=n_x,
         solver_nodes=solution.nodes,
+        classes=((track, len(cluster_to_pair), len(cell_to_pair)),),
     )
 
 
@@ -201,9 +201,7 @@ def sweep_pattern_phases(
     prunes the search immediately.  Returns ``(best, best_phase)``;
     raises :class:`InfeasibleError` when no phase fits.
     """
-    majority_track, minority_track = _resolve_pattern_tracks(
-        heights, majority_track, minority_track
-    )
+    spec = _pattern_spec(heights, majority_track, minority_track)
     n_p = f.shape[1]
     if phases is None:
         stride = max(1, n_p // max(1, n_minority))
@@ -220,11 +218,10 @@ def sweep_pattern_phases(
                 pair_capacity,
                 pattern,
                 labels,
-                majority_track=majority_track,
-                minority_track=minority_track,
                 backend=backend,
                 time_limit_s=time_limit_s,
                 warm_assignment=prior,
+                heights=spec,
             )
         except InfeasibleError:
             continue

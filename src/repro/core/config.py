@@ -7,10 +7,6 @@ scale, method parameters (:class:`~repro.core.params.RCPPParams`),
 resilience policy, base seed and worker count — consumed by
 ``run_testcase``, the sweep engine and every CLI subcommand
 (:func:`add_run_config_args` / :meth:`RunConfig.from_args`).
-
-Old keyword signatures (``run_testcase(spec, flows, scale=..., params=...)``
-and ``run_flow(kind, initial, params)``) keep working through thin
-deprecation shims; the mapping is documented in ``docs/API.md``.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -97,10 +92,10 @@ class RunConfig:
             "seed": self.seed,
             "utilization": self.utilization,
             "aspect_ratio": self.aspect_ratio,
-            "minority_track": self.params.minority_track,
+            # Pre-HeightSpec key material, kept so cache entries keep
+            # their hashes; an explicit spec extends it below.
+            "minority_track": HeightSpec.two_height().minority_tracks[0],
         }
-        # Only non-legacy specs extend the key material, so every
-        # pre-HeightSpec cache entry keeps its hash.
         if self.params.heights is not None:
             out["heights"] = self.params.heights.to_dict()
         return out
@@ -134,8 +129,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Rebuild from a :meth:`to_dict` snapshot (policy is dropped —
-        it summarizes, not serializes).  Legacy two-height keyword
-        values round-trip without re-warning."""
+        it summarizes, not serializes)."""
         params_data = dict(data.get("params", {}))
         heights_data = params_data.pop("heights", None)
         heights = (
@@ -143,12 +137,10 @@ class RunConfig:
             else HeightSpec.from_dict(heights_data)
         )
         field_names = {f.name for f in dataclasses.fields(RCPPParams)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            params = RCPPParams(
-                heights=heights,
-                **{k: v for k, v in params_data.items() if k in field_names},
-            )
+        params = RCPPParams(
+            heights=heights,
+            **{k: v for k, v in params_data.items() if k in field_names},
+        )
         return cls(
             scale=float(data.get("scale", DEFAULT_SCALE)),
             params=params,

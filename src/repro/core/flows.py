@@ -25,33 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.baseline import (
-    baseline_row_assignment,
-    baseline_row_assignment_nheight,
-)
+from repro.core.baseline import baseline_row_assignment
 from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
 from repro.core.heights import (
     HeightSpec,
     build_nheight_rap_model,
-    solve_rap_nheight_resilient,
-)
-from repro.core.legalize_abacus_rc import (
-    abacus_rc_legalize,
-    abacus_rc_legalize_nheight,
-)
-from repro.core.legalize_rc import (
-    fence_region_legalize,
-    fence_region_legalize_nheight,
-)
-from repro.core.params import RCPPParams
-from repro.core.rap import (
-    RowAssignment,
-    build_rap_model,
-    required_minority_pairs,
-    solve_rap,
     solve_rap_resilient,
 )
+from repro.core.legalize_abacus_rc import abacus_rc_legalize
+from repro.core.legalize_rc import fence_region_legalize
+from repro.core.params import RCPPParams
+from repro.core.rap import RowAssignment
 from repro.netlist.db import Design
 from repro.obs.recorder import record_qor, recording
 from repro.obs.trace import span
@@ -91,6 +76,14 @@ logger = logging.getLogger(__name__)
 #: (cheap, but not free) would meet an already-expired deadline and the
 #: whole flow would time out seconds from the finish line.
 ROW_ASSIGN_BUDGET_FRACTION = 0.9
+
+# The benchmark's layer tracer (perfbench/layers.py) patches these names
+# on this module; they are kept only so its table still resolves, and
+# the flows never call them.  A later benchmark change can drop them.
+solve_rap_nheight_resilient = solve_rap_resilient
+baseline_row_assignment_nheight = baseline_row_assignment
+fence_region_legalize_nheight = fence_region_legalize
+abacus_rc_legalize_nheight = abacus_rc_legalize
 
 
 class FlowKind(enum.Enum):
@@ -342,55 +335,52 @@ class FlowRunner:
             self.policy = dataclasses.replace(
                 self.policy, fault_plan=fault_plan
             )
-        spec = self.params.heights or getattr(initial, "heights", None)
+        init_spec = getattr(initial, "heights", None)
+        spec = self.params.heights or init_spec
         if spec is None:
-            # Legacy two-height configuration: validation (and therefore
-            # behavior) identical to the pre-HeightSpec runner.
-            if self.params.minority_track != initial.minority_track:
-                raise ValidationError("params/initial minority track mismatch")
-            tracks = initial.library.track_heights
-            others = [t for t in tracks if t != initial.minority_track]
+            # No spec anywhere: the two-height setting the initial
+            # placement was prepared for.
+            others = [
+                t for t in initial.library.track_heights
+                if t != initial.minority_track
+            ]
             if len(others) != 1:
                 raise ValidationError(
-                    f"library must have exactly one majority track, got {tracks}"
+                    "library must have exactly one majority track, got "
+                    f"{initial.library.track_heights}"
                 )
-            self.majority_track = others[0]
             spec = HeightSpec.two_height(
-                majority_track=self.majority_track,
+                majority_track=others[0],
                 minority_track=initial.minority_track,
-                n_minority_rows=self.params.n_minority_rows,
-                minority_fill_target=self.params.minority_fill_target,
             )
-        else:
-            init_spec = getattr(initial, "heights", None)
-            if (
-                self.params.heights is not None
-                and init_spec is not None
-                and set(self.params.heights.minority_tracks)
-                != set(init_spec.minority_tracks)
-            ):
-                raise ValidationError(
-                    "params/initial height spec mismatch: "
-                    f"{self.params.heights.minority_tracks} vs "
-                    f"{init_spec.minority_tracks}"
-                )
-            lib_tracks = set(initial.library.track_heights)
-            missing = set(spec.tracks) - lib_tracks
-            if missing:
-                raise ValidationError(
-                    f"library lacks spec tracks {sorted(missing)} "
-                    f"(has {sorted(lib_tracks)})"
-                )
-            prepared = set(initial.classes())
-            unprepared = set(spec.minority_tracks) - prepared
-            if unprepared:
-                raise ValidationError(
-                    "initial placement was not prepared for minority "
-                    f"tracks {sorted(unprepared)} (prepared: "
-                    f"{sorted(prepared)}); pass heights= to "
-                    "prepare_initial_placement"
-                )
-            self.majority_track = spec.majority
+        if (
+            self.params.heights is not None
+            and init_spec is not None
+            and set(self.params.heights.minority_tracks)
+            != set(init_spec.minority_tracks)
+        ):
+            raise ValidationError(
+                "params/initial height spec mismatch: "
+                f"{self.params.heights.minority_tracks} vs "
+                f"{init_spec.minority_tracks}"
+            )
+        lib_tracks = set(initial.library.track_heights)
+        missing = set(spec.tracks) - lib_tracks
+        if missing:
+            raise ValidationError(
+                f"library lacks spec tracks {sorted(missing)} "
+                f"(has {sorted(lib_tracks)})"
+            )
+        prepared = set(initial.classes())
+        unprepared = set(spec.minority_tracks) - prepared
+        if unprepared:
+            raise ValidationError(
+                "initial placement was not prepared for minority "
+                f"tracks {sorted(unprepared)} (prepared: "
+                f"{sorted(prepared)}); pass heights= to "
+                "prepare_initial_placement"
+            )
+        self.majority_track = spec.majority
         self.spec = spec
         classes = initial.classes()
         #: (track, instance indices, original widths) in spec order.
@@ -401,10 +391,9 @@ class FlowRunner:
         self._ilp: (
             tuple[RowAssignment, float, float, int, FlowProvenance] | None
         ) = None
-        # Last successful cluster -> pair map(s); warm-starts the next RAP
-        # solve on this runner (e.g. after invalidate_assignments()).
-        # An ndarray for two-height runners, a per-class list for N-height.
-        self._rap_warm: np.ndarray | list[np.ndarray] | None = None
+        # Last successful per-class cluster -> pair maps; warm-start the
+        # next RAP solve on this runner (e.g. after invalidate_assignments()).
+        self._rap_warm: list[np.ndarray] | None = None
         # Per-class clustering labels from the last ilp_assignment();
         # streaming ECO maps delta-touched cells to dirty clusters here.
         self._ilp_labels: list[np.ndarray] | None = None
@@ -446,21 +435,19 @@ class FlowRunner:
 
     @property
     def n_minority_rows(self) -> int:
-        """N_minR: forced value, else derived from minority area (= Flow 2).
+        """N_minR: forced, else derived from minority area (= Flow 2).
 
-        For N-height runners this is the total over all classes; the
-        per-class split is :attr:`row_budgets`.
+        The total over all classes; the per-class split is
+        :attr:`row_budgets`.
         """
-        if len(self._classes) == 1:
-            cls = self.spec.minority[0]
-            if cls.n_rows is not None:
-                return cls.n_rows
-            return required_minority_pairs(
-                float(self._classes[0][2].sum()),
-                float(self.initial.pair_capacity.min()),
-                cls.fill_target,
-            )
         return sum(self.row_budgets.values())
+
+    def _tracks(self) -> list[float]:
+        return [t for t, _, _ in self._classes]
+
+    def _budgets(self) -> list[int]:
+        budgets = self.row_budgets
+        return [budgets[t] for t in self._tracks()]
 
     def baseline_assignment(self) -> tuple[RowAssignment, float]:
         """[10]-style assignment and its runtime (seconds)."""
@@ -468,37 +455,19 @@ class FlowRunner:
             init = self.initial
             times = StageTimes()
             with times.measure("row_assign"):
-                if len(self._classes) == 1:
-                    track, indices, widths = self._classes[0]
-                    centers_y = (
-                        init.placed.y[indices]
-                        + init.placed.heights[indices] / 2.0
-                    )
-                    assignment = baseline_row_assignment(
-                        centers_y,
-                        widths,
-                        init.pair_center_y,
-                        init.pair_capacity,
-                        n_minority_rows=self.n_minority_rows,
-                        majority_track=self.majority_track,
-                        minority_track=track,
-                        row_fill=self.params.row_fill,
-                    )
-                else:
-                    budgets = self.row_budgets
-                    assignment = baseline_row_assignment_nheight(
-                        [
-                            init.placed.y[i] + init.placed.heights[i] / 2.0
-                            for _, i, _ in self._classes
-                        ],
-                        [w for _, _, w in self._classes],
-                        init.pair_center_y,
-                        init.pair_capacity,
-                        [budgets[t] for t, _, _ in self._classes],
-                        [t for t, _, _ in self._classes],
-                        majority_track=self.majority_track,
-                        row_fill=self.params.row_fill,
-                    )
+                assignment = baseline_row_assignment(
+                    [
+                        init.placed.y[i] + init.placed.heights[i] / 2.0
+                        for _, i, _ in self._classes
+                    ],
+                    [w for _, _, w in self._classes],
+                    init.pair_center_y,
+                    init.pair_capacity,
+                    self._budgets(),
+                    self._tracks(),
+                    majority_track=self.majority_track,
+                    row_fill=self.params.row_fill,
+                )
             self._baseline = (assignment, times.total)
         return self._baseline
 
@@ -508,6 +477,32 @@ class FlowRunner:
         if remaining is not None:
             deadline = deadline.sub(remaining * ROW_ASSIGN_BUDGET_FRACTION)
         return self.policy.stage_deadline("row_assign", deadline)
+
+    def _cluster_costs(
+        self,
+    ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+        """Per-class clustering + RAP costs: (f, cluster widths, labels)."""
+        init = self.initial
+        params = self.params
+        f_by, w_by, labels_by = [], [], []
+        for _, indices, widths in self._classes:
+            cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
+            cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
+            clustering = cluster_minority_cells(
+                cx, cy, params.s, params.kmeans_max_iterations
+            )
+            costs = compute_rap_costs(
+                init.placed,
+                indices,
+                clustering.labels,
+                clustering.n_clusters,
+                init.pair_center_y,
+                widths,
+            )
+            f_by.append(costs.combine(params.alpha))
+            w_by.append(costs.cluster_width)
+            labels_by.append(clustering.labels)
+        return f_by, w_by, labels_by
 
     def ilp_assignment(
         self, deadline: Deadline | None = None
@@ -531,155 +526,52 @@ class FlowRunner:
                 requested_backend=params.solver_backend,
                 budget_s=deadline.budget_s,
             )
-            if len(self._classes) == 1:
-                with times.measure("clustering"):
-                    cx = (
-                        init.placed.x[init.minority_indices]
-                        + init.placed.widths[init.minority_indices] / 2.0
-                    )
-                    cy = (
-                        init.placed.y[init.minority_indices]
-                        + init.placed.heights[init.minority_indices] / 2.0
-                    )
-                    clustering = cluster_minority_cells(
-                        cx, cy, params.s, params.kmeans_max_iterations
-                    )
-                    costs = compute_rap_costs(
-                        init.placed,
-                        init.minority_indices,
-                        clustering.labels,
-                        clustering.n_clusters,
-                        init.pair_center_y,
-                        init.minority_widths_original,
-                    )
-                n_clusters = clustering.n_clusters
-                self._ilp_labels = [clustering.labels]
-                with times.measure("rap_ilp"):
-                    assignment = solve_rap_resilient(
-                        costs.combine(params.alpha),
-                        costs.cluster_width,
-                        init.pair_capacity,
-                        self.n_minority_rows,
-                        clustering.labels,
-                        majority_track=self.majority_track,
-                        minority_track=init.minority_track,
-                        backend=params.solver_backend,
-                        time_limit_s=params.solver_time_limit_s,
-                        row_fill=params.row_fill,
-                        policy=self.policy,
-                        deadline=self._row_assign_deadline(deadline),
-                        provenance=prov,
-                        sparse=params.rap_sparse,
-                        candidate_k=params.rap_candidates,
-                        workers=params.rap_workers,
-                        warm_assignment=self._rap_warm,
-                    )
-                    if assignment is None:
-                        if not self.policy.fallback_enabled:
-                            failed = (
-                                prov.attempts[-1] if prov.attempts else None
-                            )
-                            raise SolverError(
-                                "row assignment failed and fallback is "
-                                "disabled"
-                                + (f": [{failed.error_type}] {failed.error}"
-                                   if failed else ""),
-                                provenance=prov,
-                            )
-                        assignment = self._baseline_rung(prov, deadline)
-                    else:
-                        self._rap_warm = assignment.cluster_to_pair
-            else:
-                assignment, n_clusters = self._ilp_assignment_nheight(
-                    prov, deadline, times
+            with times.measure("clustering"):
+                f_by, w_by, labels_by = self._cluster_costs()
+                self._ilp_labels = labels_by
+            with times.measure("rap_ilp"):
+                assignment = solve_rap_resilient(
+                    f_by,
+                    w_by,
+                    init.pair_capacity,
+                    self._budgets(),
+                    labels_by,
+                    self._tracks(),
+                    majority_track=self.majority_track,
+                    backend=params.solver_backend,
+                    time_limit_s=params.solver_time_limit_s,
+                    row_fill=params.row_fill,
+                    policy=self.policy,
+                    deadline=self._row_assign_deadline(deadline),
+                    provenance=prov,
+                    sparse=params.rap_sparse,
+                    candidate_k=params.rap_candidates,
+                    workers=params.rap_workers,
+                    warm_assignment=self._rap_warm,
+                    sa_seed=params.seed,
                 )
+                if assignment is None:
+                    if not self.policy.fallback_enabled:
+                        failed = prov.attempts[-1] if prov.attempts else None
+                        raise SolverError(
+                            "row assignment failed and fallback is disabled"
+                            + (f": [{failed.error_type}] {failed.error}"
+                               if failed else ""),
+                            provenance=prov,
+                        )
+                    assignment = self._baseline_rung(prov, deadline)
+                else:
+                    self._rap_warm = [
+                        assignment.by_track[t][0] for t in self._tracks()
+                    ]
             self._ilp = (
                 assignment,
                 times.stages["clustering"],
                 times.stages["rap_ilp"],
-                n_clusters,
+                sum(len(w) for w in w_by),
                 prov,
             )
         return self._ilp
-
-    def _ilp_assignment_nheight(
-        self,
-        prov: FlowProvenance,
-        deadline: Deadline,
-        times: StageTimes,
-    ) -> tuple[RowAssignment, int]:
-        """Per-class clustering + the joint N-height resilient solve."""
-        init = self.initial
-        params = self.params
-        budgets = self.row_budgets
-        with times.measure("clustering"):
-            f_by, w_by, labels_by = [], [], []
-            n_clusters = 0
-            for track, indices, widths in self._classes:
-                cx = (
-                    init.placed.x[indices]
-                    + init.placed.widths[indices] / 2.0
-                )
-                cy = (
-                    init.placed.y[indices]
-                    + init.placed.heights[indices] / 2.0
-                )
-                clustering = cluster_minority_cells(
-                    cx, cy, params.s, params.kmeans_max_iterations
-                )
-                costs = compute_rap_costs(
-                    init.placed,
-                    indices,
-                    clustering.labels,
-                    clustering.n_clusters,
-                    init.pair_center_y,
-                    widths,
-                )
-                f_by.append(costs.combine(params.alpha))
-                w_by.append(costs.cluster_width)
-                labels_by.append(clustering.labels)
-                n_clusters += clustering.n_clusters
-            self._ilp_labels = labels_by
-        with times.measure("rap_ilp"):
-            assignment = solve_rap_nheight_resilient(
-                f_by,
-                w_by,
-                init.pair_capacity,
-                [budgets[t] for t, _, _ in self._classes],
-                labels_by,
-                [t for t, _, _ in self._classes],
-                majority_track=self.majority_track,
-                backend=params.solver_backend,
-                time_limit_s=params.solver_time_limit_s,
-                row_fill=params.row_fill,
-                policy=self.policy,
-                deadline=self._row_assign_deadline(deadline),
-                provenance=prov,
-                sparse=params.rap_sparse,
-                candidate_k=params.rap_candidates,
-                workers=params.rap_workers,
-                warm_assignment=(
-                    self._rap_warm
-                    if isinstance(self._rap_warm, list)
-                    else None
-                ),
-                sa_seed=params.seed,
-            )
-            if assignment is None:
-                if not self.policy.fallback_enabled:
-                    failed = prov.attempts[-1] if prov.attempts else None
-                    raise SolverError(
-                        "row assignment failed and fallback is disabled"
-                        + (f": [{failed.error_type}] {failed.error}"
-                           if failed else ""),
-                        provenance=prov,
-                    )
-                assignment = self._baseline_rung(prov, deadline)
-            else:
-                self._rap_warm = [
-                    assignment.by_track[t][0] for t, _, _ in self._classes
-                ]
-        return assignment, n_clusters
 
     def rap_model(self):
         """Build the RAP MILP of this runner's ILP configuration.
@@ -690,38 +582,12 @@ class FlowRunner:
         already applied.  Used by ``repro report`` to cross-solve the same
         instance with every MILP backend for convergence telemetry.
         """
-        init = self.initial
-        params = self.params
-        budgets = self.row_budgets
-        f_by, w_by = [], []
-        for track, indices, widths in self._classes:
-            cx = init.placed.x[indices] + init.placed.widths[indices] / 2.0
-            cy = init.placed.y[indices] + init.placed.heights[indices] / 2.0
-            clustering = cluster_minority_cells(
-                cx, cy, params.s, params.kmeans_max_iterations
-            )
-            costs = compute_rap_costs(
-                init.placed,
-                indices,
-                clustering.labels,
-                clustering.n_clusters,
-                init.pair_center_y,
-                widths,
-            )
-            f_by.append(costs.combine(params.alpha))
-            w_by.append(costs.cluster_width)
-        if len(self._classes) == 1:
-            return build_rap_model(
-                f_by[0],
-                w_by[0],
-                init.pair_capacity * params.row_fill,
-                self.n_minority_rows,
-            )
+        f_by, w_by, _ = self._cluster_costs()
         return build_nheight_rap_model(
             f_by,
             w_by,
-            init.pair_capacity * params.row_fill,
-            [budgets[t] for t, _, _ in self._classes],
+            self.initial.pair_capacity * self.params.row_fill,
+            self._budgets(),
         )
 
     def _baseline_rung(
@@ -839,16 +705,11 @@ class FlowRunner:
             prov = row_prov.clone()
             prov.budget_s = deadline.budget_s
 
-        qor_extra = (
-            {"n_height_classes": len(self._classes)}
-            if len(self._classes) > 1
-            else {}
-        )
         record_qor(
             f"flow{kind.value}.row_assign",
             n_minority_rows=assignment.n_minority_rows,
             n_clusters=n_clusters,
-            **qor_extra,
+            n_height_classes=len(self._classes),
         )
         placed, result = self._legalize_resilient(
             kind, assignment, prov, deadline
@@ -882,32 +743,17 @@ class FlowRunner:
         assignment: RowAssignment,
         deadline: Deadline,
     ):
-        if len(self._classes) > 1:
-            if name == "abacus_rc":
-                return abacus_rc_legalize_nheight(
-                    placed,
-                    {
-                        t: (indices, assignment.by_track[t][1])
-                        for t, indices, _ in self._classes
-                    },
-                )
-            return fence_region_legalize_nheight(
-                placed,
-                {t: indices for t, indices, _ in self._classes},
-                refine_iterations=self.params.refine_iterations,
-                deadline=deadline,
-            )
         if name == "abacus_rc":
             return abacus_rc_legalize(
                 placed,
-                self.initial.minority_indices,
-                assignment.cell_to_pair,
-                self.initial.minority_track,
+                {
+                    t: (indices, assignment.by_track[t][1])
+                    for t, indices, _ in self._classes
+                },
             )
         return fence_region_legalize(
             placed,
-            self.initial.minority_indices,
-            self.initial.minority_track,
+            {t: indices for t, indices, _ in self._classes},
             refine_iterations=self.params.refine_iterations,
             deadline=deadline,
         )
@@ -1025,40 +871,12 @@ class FlowRunner:
 def run_flow(
     kind: FlowKind,
     initial: InitialPlacement,
-    config: "RunConfig | RCPPParams | None" = None,
-    policy: ResiliencePolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    *,
-    params: RCPPParams | None = None,
+    config: "RunConfig | None" = None,
 ) -> FlowResult:
-    """One-shot convenience wrapper around :class:`FlowRunner`.
-
-    Preferred call: ``run_flow(kind, initial, RunConfig(...))``.  The old
-    keyword signature ``run_flow(kind, initial, params=..., policy=...,
-    fault_plan=...)`` (or a bare :class:`RCPPParams` third positional)
-    still works through a deprecation shim; see docs/API.md for the
-    mapping.
-    """
+    """One-shot convenience wrapper around :class:`FlowRunner`."""
     from repro.core.config import RunConfig
 
-    if isinstance(config, RunConfig):
-        if params is not None or policy is not None or fault_plan is not None:
-            raise ValidationError(
-                "pass either a RunConfig or the legacy params/policy/"
-                "fault_plan keywords, not both"
-            )
-        return FlowRunner(
-            initial, config.params, config.policy, config.fault_plan
-        ).run(kind)
-    if config is not None or params is not None:
-        import warnings
-
-        warnings.warn(
-            "run_flow(kind, initial, params=..., policy=..., fault_plan=...)"
-            " is deprecated; pass run_flow(kind, initial, RunConfig(params="
-            "..., policy=..., fault_plan=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    legacy_params = params if params is not None else config
-    return FlowRunner(initial, legacy_params, policy, fault_plan).run(kind)
+    config = config or RunConfig()
+    return FlowRunner(
+        initial, config.params, config.policy, config.fault_plan
+    ).run(kind)

@@ -23,9 +23,11 @@ The sparse engine of :mod:`repro.core.sparse_rap` extends naturally:
 per-class candidate masks, a strengthened joint LP whose reduced costs
 prune columns against a greedy incumbent, and a pricing/repair loop
 that certifies the restricted optimum equals the full joint optimum.
-:func:`solve_rap_nheight_resilient` adds the chain's terminal rung for
-``K >= 2``: a simulated-annealing heuristic (:func:`anneal_nheight`)
-for instances where every MILP backend times out.
+
+:func:`solve_rap_resilient` is the one resilient chain for every ``K``:
+backend fallback, relaxation ladder and optional rung racing, with a
+terminal simulated-annealing rung (:func:`anneal_nheight`) for
+``K >= 2`` instances where every MILP backend times out.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from scipy.optimize import linprog
 from repro.core.cost import cheapest_pairs_mask
 from repro.core.rap import (
     RowAssignment,
+    assignment_to_vector,
     build_rap_model,
+    dense_assignment,
     greedy_rap,
     required_minority_pairs,
-    solve_rap_resilient,
 )
 from repro.core.sparse_rap import (
     SMALL_PROBLEM_VARIABLES,
@@ -54,7 +57,9 @@ from repro.core.sparse_rap import (
     solve_rap_sparse,
 )
 from repro.obs.convergence import observe
+from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.obs.trace import span
+from repro.placement.shm import SHM_MIN_BYTES, publish_arrays
 from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus, solve_milp
 from repro.utils.errors import (
     InfeasibleError,
@@ -67,6 +72,13 @@ from repro.utils.resilience import (
     Deadline,
     FlowProvenance,
     ResiliencePolicy,
+)
+from repro.utils.supervise import (
+    CancelToken,
+    RaceCancelled,
+    RaceEntry,
+    get_shared_pool,
+    race,
 )
 
 logger = logging.getLogger(__name__)
@@ -90,8 +102,8 @@ class HeightClass:
 
     ``n_rows`` forces the class's row-pair count (the per-class Eq. 5
     right-hand side); ``None`` derives it from the class's total cell
-    width and ``fill_target`` (how full this class's rows may be), the
-    same rule the two-height path applies to ``minority_fill_target``.
+    width and ``fill_target`` (how full this class's rows may be) with
+    :func:`repro.core.rap.required_minority_pairs`.
     """
 
     track: float
@@ -128,9 +140,8 @@ class HeightSpec:
 
     The majority track fills every row pair no minority class claims;
     each minority class forms row islands with its own budget.  A
-    two-entry spec (``K = 1``) is the paper's exact setting and is
-    guaranteed to reproduce the legacy ``minority_track`` path bit for
-    bit (the solvers delegate to the two-height code at ``K = 1``).
+    two-entry spec (``K = 1``) is the paper's exact setting; the solvers
+    hand it to the two-height engine.
     """
 
     majority: float
@@ -210,7 +221,7 @@ class HeightSpec:
         n_minority_rows: int | None = None,
         minority_fill_target: float = 0.6,
     ) -> "HeightSpec":
-        """The paper's setting as a spec (legacy-kwarg equivalent)."""
+        """The paper's setting as a spec."""
         return cls(
             majority=majority_track,
             minority=(
@@ -957,6 +968,33 @@ def _solution_from_restricted(
     return restricted, assignment
 
 
+def _dense_warm_vector(
+    model: MilpModel,
+    warm: np.ndarray | None,
+    f: np.ndarray,
+    cluster_width: np.ndarray,
+    pair_capacity: np.ndarray,
+    n_rows: int,
+) -> np.ndarray | None:
+    """Two-height model vector of ``warm``, else of the greedy seed.
+
+    The greedy seed stands in only when a warm start was asked for and
+    does not fit this model (e.g. after a budget relaxation).
+    """
+    if warm is None:
+        return None
+    prior = _valid_prior([warm], [f])
+    if prior is not None:
+        vector = assignment_to_vector(prior[0], *f.shape)
+        if model.is_feasible(vector):
+            return vector
+    seed = greedy_rap(f, cluster_width, pair_capacity, n_rows)
+    if seed is None:
+        return None
+    vector = assignment_to_vector(seed, *f.shape)
+    return vector if model.is_feasible(vector) else None
+
+
 def solve_rap_nheight(
     f_by_class: list[np.ndarray],
     width_by_class: list[np.ndarray],
@@ -967,15 +1005,17 @@ def solve_rap_nheight(
     warm_assignment: list[np.ndarray] | None = None,
     candidate_k: int | None = None,
     sparse: bool = True,
+    workers: int = 1,
     cancel: object | None = None,
 ) -> tuple[MilpSolution, list[np.ndarray] | None, SparseSolveStats]:
     """Solve the joint N-height RAP; exactness mirrors the sparse engine.
 
-    Returns ``(solution, per-class assignment or None, stats)``.  At
-    ``K = 1`` the call delegates to the two-height engine
-    (:func:`repro.core.sparse_rap.solve_rap_sparse`, or the dense
-    build + solve when ``sparse=False``) so two-entry specs reproduce
-    legacy results bit for bit.  For ``K >= 2`` and exact backends,
+    Returns ``(solution, per-class assignment or None, stats)``; a
+    cluster the solution leaves unassigned maps to ``-1``.  At ``K = 1``
+    the call hands off to the two-height engine
+    (:func:`repro.core.sparse_rap.solve_rap_sparse`, which alone uses
+    ``workers`` for its component fan-out, or the dense build + solve
+    when ``sparse=False``).  For ``K >= 2`` and exact backends,
     ``stats.certified`` means the restricted optimum was proven equal to
     the full joint optimum by the reduced-cost pricing test.
     """
@@ -988,14 +1028,14 @@ def solve_rap_nheight(
     K = len(f_by_class)
 
     if K == 1:
+        # Two-height hand-off: the sparse engine, or the dense model.
+        warm = warm_assignment[0] if warm_assignment else None
         if sparse:
             solution, stats = solve_rap_sparse(
                 f_by_class[0], width_by_class[0], pair_capacity, budgets[0],
                 backend=backend, time_limit_s=time_limit_s,
-                warm_assignment=(
-                    warm_assignment[0] if warm_assignment else None
-                ),
-                candidate_k=candidate_k, cancel=cancel,
+                warm_assignment=warm, candidate_k=candidate_k,
+                workers=workers, cancel=cancel,
             )
         else:
             stats = SparseSolveStats(
@@ -1008,6 +1048,10 @@ def solve_rap_nheight(
             )
             solution = solve_milp(
                 model, backend=backend, time_limit_s=time_limit_s,
+                warm_start=_dense_warm_vector(
+                    model, warm, f_by_class[0], width_by_class[0],
+                    pair_capacity, budgets[0],
+                ),
                 cancel=cancel,
             )
             stats.solve_s = solution.runtime_s
@@ -1016,10 +1060,7 @@ def solve_rap_nheight(
             )
         assignment = None
         if solution.ok and solution.x is not None:
-            x = np.round(
-                solution.x[: n_cs[0] * n_p]
-            ).reshape(n_cs[0], n_p)
-            assignment = [np.argmax(x, axis=1)]
+            assignment = [dense_assignment(solution.x, n_cs[0], n_p)]
         return solution, assignment, stats
 
     if backend not in EXACT_BACKENDS:
@@ -1228,57 +1269,412 @@ def solve_rap_nheight(
 
 
 # ---------------------------------------------------------------------------
-# Decode + resilient chain
+# Resilient chain: rung fallback, relaxation ladder, optional racing
 # ---------------------------------------------------------------------------
 
 
-def nheight_assignment_to_row_assignment(
-    assignment: list[np.ndarray],
-    labels_by_class: list[np.ndarray],
-    minority_tracks: list[float],
-    majority_track: float,
-    n_pairs: int,
-    objective: float,
-    ilp_runtime_s: float = 0.0,
-    num_variables: int = 0,
-    solver_nodes: int = 0,
-) -> RowAssignment:
-    """Assemble a :class:`RowAssignment` from per-class cluster maps.
+def _valid_prior(
+    prior: list[np.ndarray] | None, f_by_class: list[np.ndarray]
+) -> list[np.ndarray] | None:
+    """Per-class prior maps, or None when any no longer fits the instance."""
+    if prior is None or len(prior) != len(f_by_class):
+        return None
+    out: list[np.ndarray] = []
+    for a, f in zip(prior, f_by_class):
+        a = np.asarray(a, dtype=int)
+        if a.shape != (f.shape[0],) or np.any(a < 0) or np.any(a >= f.shape[1]):
+            return None
+        out.append(a)
+    return out
 
-    ``cluster_to_pair`` / ``cell_to_pair`` are concatenated class-major
-    (spec order); per-class views live in ``by_track``.
+
+def _seeded(
+    prior: list[np.ndarray] | None,
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    usable: np.ndarray,
+    budgets: list[int],
+) -> list[np.ndarray] | None:
+    """An exact rung's warm start: ``prior``, else a greedy seed.
+
+    Only the two-height engine takes its greedy seed from here (bnb
+    prunes with it, the sparse engine fixes columns against it); the
+    joint engine derives its own incumbent.
     """
-    pair_tracks = [majority_track] * n_pairs
-    by_track: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    opened_all: list[np.ndarray] = []
-    for track, a, labels in zip(minority_tracks, assignment, labels_by_class):
-        opened = np.unique(a)
-        for p in opened.tolist():
-            if pair_tracks[p] != majority_track:
-                raise InfeasibleError(
-                    f"pair {p} claimed by both {pair_tracks[p]}T and {track}T"
-                )
-            pair_tracks[p] = track
-        cell_to_pair = a[labels]
-        by_track[track] = (a, cell_to_pair)
-        opened_all.append(opened)
-    minority_pairs = np.unique(np.concatenate(opened_all))
-    return RowAssignment(
-        pair_tracks=pair_tracks,
-        minority_pairs=minority_pairs,
-        cluster_to_pair=np.concatenate(assignment),
-        cell_to_pair=np.concatenate(
-            [by_track[t][1] for t in minority_tracks]
-        ),
-        objective=objective,
-        ilp_runtime_s=ilp_runtime_s,
-        num_variables=num_variables,
-        solver_nodes=solver_nodes,
-        by_track=by_track,
+    if prior is None and len(f_by_class) == 1:
+        return greedy_nheight(f_by_class, width_by_class, usable, budgets)
+    return prior
+
+
+def _solve_rung(
+    rung: str,
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    usable: np.ndarray,
+    budgets: list[int],
+    warm: list[np.ndarray] | None,
+    time_limit_s: float | None,
+    candidate_k: int | None,
+    sparse: bool,
+    workers: int = 1,
+    cancel: object | None = None,
+    sa_seed: int = 17,
+) -> tuple[MilpSolution | None, list[np.ndarray] | None, SparseSolveStats | None]:
+    """One rung's solve: ``(solution, per-class maps, stats)``.
+
+    MILP rungs run :func:`solve_rap_nheight`; the terminal ``"sa"`` rung
+    anneals and returns no MILP solution.  The sequential chain and the
+    racing workers both solve through here.
+    """
+    if rung == "sa":
+        annealed = anneal_nheight(
+            f_by_class, width_by_class, usable, budgets, seed=sa_seed,
+            time_limit_s=time_limit_s, initial=warm,
+        )
+        if annealed is None:
+            raise InfeasibleError("SA found no feasible N-height start")
+        return None, annealed[0], None
+    return solve_rap_nheight(
+        f_by_class, width_by_class, usable, budgets, backend=rung,
+        time_limit_s=time_limit_s, warm_assignment=warm,
+        candidate_k=candidate_k, sparse=sparse, workers=workers,
+        cancel=cancel,
     )
 
 
-def solve_rap_nheight_resilient(
+def _decode(
+    solution: MilpSolution | None,
+    maps: list[np.ndarray],
+    runtime_s: float,
+    f_by_class: list[np.ndarray],
+    labels_by_class: list[np.ndarray],
+    minority_tracks: list[float],
+    majority_track: float,
+) -> RowAssignment:
+    """The :class:`RowAssignment` of one rung's per-class maps."""
+    n_p = f_by_class[0].shape[1]
+    return RowAssignment.from_classes(
+        {
+            track: (a, a[labels])
+            for track, a, labels in zip(minority_tracks, maps, labels_by_class)
+        },
+        majority_track,
+        n_p,
+        objective=(
+            solution.objective if solution is not None
+            else _joint_cost(f_by_class, maps)
+        ),
+        ilp_runtime_s=solution.runtime_s if solution is not None else runtime_s,
+        num_variables=sum(f.size for f in f_by_class) + len(f_by_class) * n_p,
+        solver_nodes=solution.nodes if solution is not None else 0,
+    )
+
+
+def _race_rung_job(payload: dict) -> dict:
+    """One rung's full RAP solve in a racing worker (pickles by name).
+
+    Runs inside a :class:`~repro.utils.supervise.SupervisedPool` worker;
+    the embedded engine always runs with ``workers=1`` (no nested pools
+    inside a racing worker).  Returns the raw solution and per-class maps
+    plus engine stats; decoding happens in the parent, where the labels
+    and track heights live.
+
+    Large instances arrive as a shared-memory handle under ``"shm"``
+    (per-class ``f<h>``/``w<h>`` and ``cap`` attached read-only,
+    zero-copy) instead of pickled arrays; see :mod:`repro.placement.shm`.
+    """
+    attachment = None
+    if "shm" in payload:
+        from repro.placement.shm import attach_arrays
+
+        # ``_pool_attempt`` is stamped by the supervised pool's worker
+        # wrapper only: its absence means this is an inline (in-parent)
+        # last-resort run, where worker faults must not fire.
+        attempt = payload.get("_pool_attempt")
+        attachment = attach_arrays(
+            payload["shm"],
+            fault_plan=payload.get("shm_fault_plan") if attempt is not None else None,
+            fault_stage="shm.attach",
+            attempt=attempt,
+        )
+        n_classes = len(payload["budgets"])
+        payload = dict(
+            payload,
+            f_by=[attachment[f"f{h}"] for h in range(n_classes)],
+            w_by=[attachment[f"w{h}"] for h in range(n_classes)],
+            cap=attachment["cap"],
+        )
+    try:
+        return _race_rung_solve(payload)
+    finally:
+        if attachment is not None:
+            attachment.close()
+
+
+def _race_rung_solve(payload: dict) -> dict:
+    """One rung's solve under a scoped registry.
+
+    The snapshot travels back in ``"metrics"`` so the parent can merge
+    worker-side telemetry (span histograms, solver counters) into its
+    own registry.
+    """
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        solution, maps, stats = _solve_rung(
+            payload["rung"], payload["f_by"], payload["w_by"],
+            payload["cap"], payload["budgets"], payload.get("warm"),
+            payload.get("time_limit_s"), payload.get("candidate_k"),
+            payload["sparse"], cancel=payload.get("cancel"),
+            sa_seed=payload.get("sa_seed", 17),
+        )
+    return {
+        "rung": payload["rung"],
+        "solution": solution,
+        "maps": maps,
+        "stats": stats,
+        "metrics": registry.snapshot(),
+    }
+
+
+def _certified_exact(rung: str, solution: MilpSolution | None) -> bool:
+    """The race's certification rule: exact backend + proven optimum."""
+    return (
+        rung in EXACT_BACKENDS
+        and solution is not None
+        and solution.status is MilpStatus.OPTIMAL
+    )
+
+
+def _race_rap_level(
+    rungs: list[str],
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    usable: np.ndarray,
+    budgets: list[int],
+    labels_by_class: list[np.ndarray],
+    minority_tracks: list[float],
+    majority_track: float,
+    backend: str,
+    time_limit_s: float | None,
+    sparse: bool,
+    candidate_k: int | None,
+    warm_assignment: list[np.ndarray] | None,
+    workers: int,
+    policy: ResiliencePolicy,
+    deadline: Deadline,
+    prov: FlowProvenance,
+    relaxation: str | None,
+    sa_seed: int,
+) -> tuple[str, RowAssignment | None]:
+    """Race all rungs of one relaxation level concurrently.
+
+    First *certified* answer wins (see :func:`_certified_exact`); losers
+    are cancelled — their pool workers killed, cooperative solvers
+    additionally observing the shared :class:`CancelToken`.  When nothing
+    certifies, the surviving outcomes are scanned in rung-preference
+    order, mirroring the sequential chain.
+
+    Returns a verdict and (for ``"win"``) the decoded assignment:
+
+    * ``("win", assignment)`` — a rung answered; provenance updated;
+    * ``("escalate", None)`` — some rung proved infeasibility, move to
+      the next relaxation level;
+    * ``("fallback", None)`` — nothing usable came back, run this
+      level's sequential rung loop instead (worker-only faults do not
+      fire inline, so the sequential pass is also the degraded-mode
+      last resort).
+
+    A certified-exact winner is *not* marked degraded even when it is
+    not the requested backend: both exact backends prove the same
+    optimum, so the answer is bit-equivalent to the sequential chain's.
+    (The sequential chain marks any non-primary rung degraded because
+    there a fallback implies the primary *failed*; in a race losing on
+    latency is not a failure.)
+    """
+    stage = "rap.race"
+    deadline.check(stage, provenance=prov)
+    limit = deadline.clamp(time_limit_s)
+    prior = _valid_prior(warm_assignment, f_by_class)
+    seeded = _seeded(prior, f_by_class, width_by_class, usable, budgets)
+    # A healthy rung obeys ``limit`` internally; supervision only has to
+    # catch wedged workers, so the kill deadline gets a generous margin.
+    task_timeout_s = None if limit is None else max(5.0, 3.0 * limit)
+    cancel = CancelToken()
+
+    # Large instances go to the workers as one shared-memory segment per
+    # race (zero-copy attach) instead of one pickled copy per rung; small
+    # ones inline — the pickle is cheaper than a segment.
+    arrays = {"cap": usable}
+    for h, (f, w) in enumerate(zip(f_by_class, width_by_class)):
+        arrays[f"f{h}"] = f
+        arrays[f"w{h}"] = w
+    publication = None
+    if len(rungs) > 1 and sum(a.nbytes for a in arrays.values()) > SHM_MIN_BYTES:
+        publication = publish_arrays(arrays)
+    shared: dict[str, object] = (
+        {"f_by": f_by_class, "w_by": width_by_class, "cap": usable}
+        if publication is None
+        else {"shm": publication.handle, "shm_fault_plan": policy.fault_plan}
+    )
+
+    entries = [
+        RaceEntry(
+            label=rung,
+            fn=_race_rung_job,
+            item={
+                "rung": rung,
+                **shared,
+                "budgets": budgets,
+                "time_limit_s": limit,
+                "warm": seeded if rung in EXACT_BACKENDS else prior,
+                "candidate_k": candidate_k,
+                "sparse": sparse,
+                "cancel": cancel,
+                "sa_seed": sa_seed,
+            },
+            fault_stage=f"rap.{rung}",
+        )
+        for rung in rungs
+    ]
+
+    def certify(i: int, value: dict) -> bool:
+        if _certified_exact(rungs[i], value["solution"]):
+            cancel.set()  # cooperative losers stop before the kill lands
+            return True
+        return False
+
+    pool = get_shared_pool(min(workers, len(entries)))
+    pool.fault_plan = policy.fault_plan
+    pool.task_timeout_s = task_timeout_s
+    try:
+        with span(
+            stage,
+            rungs=",".join(rungs),
+            workers=pool.workers,
+            relaxation=relaxation,
+        ) as race_span:
+            result = race(entries, certify, pool=pool)
+            race_span.annotate(
+                winner=result.winner,
+                wall_s=result.wall_s,
+                cancel_latency_s=result.cancel_latency_s,
+                crashes=result.crashes,
+                hangs=result.hangs,
+                cancelled=result.n_cancelled,
+            )
+            # Convergence points are numeric-only; the winner label and
+            # relaxation string live on the span attributes above.
+            observe(
+                stage,
+                winner_index=(
+                    -1.0
+                    if result.winner_index is None
+                    else float(result.winner_index)
+                ),
+                wall_s=result.wall_s,
+                cancel_latency_s=result.cancel_latency_s,
+                crashes=result.crashes,
+                hangs=result.hangs,
+                cancelled=result.n_cancelled,
+            )
+    finally:
+        cancel.clear()
+        if publication is not None:
+            publication.close()
+
+    # Fold every rung's worker-side registry snapshot into the parent's.
+    registry = current_registry()
+    for outcome in result.outcomes:
+        if outcome.ok and isinstance(outcome.value, dict):
+            snapshot = outcome.value.get("metrics")
+            if snapshot:
+                registry.merge(snapshot)
+
+    # Preference order: the certified winner if any, else the first rung
+    # (in chain order) that returned a usable answer.
+    order = list(range(len(rungs)))
+    if result.winner_index is not None:
+        order.remove(result.winner_index)
+        order.insert(0, result.winner_index)
+    chosen: int | None = None
+    assignment: RowAssignment | None = None
+    infeasible_seen = False
+    decode_errors: dict[int, BaseException] = {}
+    for i in order:
+        outcome = result.outcomes[i]
+        if not outcome.ok:
+            continue
+        solution = outcome.value["solution"]
+        if solution is not None and solution.status is MilpStatus.INFEASIBLE:
+            infeasible_seen = True
+            continue
+        if outcome.value["maps"] is None:
+            continue
+        try:
+            assignment = _decode(
+                solution, outcome.value["maps"], outcome.wall_s,
+                f_by_class, labels_by_class, minority_tracks,
+                majority_track,
+            )
+        except InfeasibleError as exc:
+            decode_errors[i] = exc
+            continue
+        chosen = i
+        break
+
+    for i, rung in enumerate(rungs):
+        outcome = result.outcomes[i]
+        attempt = max(1, outcome.attempts)
+        if i == chosen:
+            prov.record(
+                f"rap.{rung}", rung, attempt, ok=True,
+                runtime_s=outcome.wall_s, relaxation=relaxation,
+            )
+            continue
+        if outcome.ok:
+            solution = outcome.value["solution"]
+            if solution is not None and solution.status is MilpStatus.INFEASIBLE:
+                error: BaseException = InfeasibleError("model infeasible")
+            elif i in decode_errors:
+                error = decode_errors[i]
+            elif outcome.value["maps"] is None:
+                error = SolverError(
+                    f"no incumbent (status {solution.status.value})"
+                )
+            else:
+                error = SolverError("lost race: uncertified answer")
+        elif outcome.status == "cancelled":
+            # TaskOutcome carries the error as (type name, message)
+            # strings; rebuild something record() can stringify while
+            # keeping cancellations recognizable.
+            error = RaceCancelled(outcome.error or "lost race")
+        else:
+            error = SolverError(f"[{outcome.error_type}] {outcome.error}")
+        prov.record(
+            f"rap.{rung}", rung, attempt, ok=False, error=error,
+            runtime_s=outcome.wall_s, relaxation=relaxation,
+        )
+
+    if chosen is not None:
+        rung = rungs[chosen]
+        prov.backend = rung
+        certified = chosen == result.winner_index
+        prov.degraded = bool(
+            (not certified and rung != backend)
+            or relaxation is not None
+            or result.outcomes[chosen].ran_inline
+        )
+        return "win", assignment
+    if infeasible_seen:
+        return "escalate", None
+    logger.warning(
+        "RAP race produced no usable answer; falling back to the "
+        "sequential chain for this level"
+    )
+    return "fallback", None
+
+
+def solve_rap_resilient(
     f_by_class: list[np.ndarray],
     width_by_class: list[np.ndarray],
     pair_capacity: np.ndarray,
@@ -1298,44 +1694,48 @@ def solve_rap_nheight_resilient(
     warm_assignment: list[np.ndarray] | None = None,
     sa_seed: int = 17,
 ) -> RowAssignment | None:
-    """Resilient joint solve: MILP rung chain + SA fallback + relaxation.
+    """Solve the class-indexed RAP under a fallback chain with relaxation.
 
-    At ``K = 1`` this delegates wholly to
-    :func:`repro.core.rap.solve_rap_resilient` (including rung racing at
-    ``workers > 1``), so a two-entry spec reproduces the legacy chain —
-    assignments, provenance, everything — bit for bit.
+    Inputs are per minority class in spec order (``K >= 1`` classes):
+    cost matrices, cluster widths, row budgets, cell labels and tracks.
+    ``pair_capacity`` is the *raw* pair capacity; ``row_fill`` is applied
+    per relaxation level so a failed chain can retry with relaxed
+    constraints (``row_fill`` → 1.0 first, then every class budget
+    bumped while pairs remain, labelled ``budgets+N``).
 
-    For ``K >= 2`` the chain runs the exact backends sequentially (the
-    heuristic lagrangian backend has no joint model), then a terminal
-    simulated-annealing rung (:func:`anneal_nheight`) so instances where
-    every MILP rung fails still place; SA answers are recorded as
-    ``backend="sa"`` and flagged degraded.  Relaxation levels mirror the
-    two-height ladder: ``row_fill`` → 1.0, then every class budget
-    bumped while pairs remain.
+    Every MILP rung solves through :func:`solve_rap_nheight` (``sparse``
+    selects its pruned engine; ``candidate_k`` forces the top-k
+    strategy).  The rungs are the policy's backend chain; with ``K >= 2``
+    only its exact backends (the joint model has no Lagrangian
+    decomposition), followed by a terminal simulated-annealing rung
+    (:func:`anneal_nheight`, recorded as ``backend="sa"``).
+    ``warm_assignment`` (e.g. the previous solve's per-class cluster ->
+    pair maps) seeds every rung's warm start.
+
+    ``workers > 1`` switches the chain from sequential to *racing*: all
+    rungs of a relaxation level run concurrently on a supervised,
+    crash-tolerant process pool (:mod:`repro.utils.supervise`) and the
+    first certified answer — an exact backend proving optimality — wins,
+    cancelling the others.  Healthy-path answers are identical to the
+    sequential chain's (both exact backends prove the same optimum).
+    Race outcomes land in ``provenance``, a ``rap.race`` span, and a
+    FlightRecorder observation.  Each racing rung runs its engine
+    single-threaded.
+
+    Failure ladder per :class:`~repro.utils.resilience.ResiliencePolicy`:
+
+    * transient :class:`SolverError` → retry the rung (with backoff);
+    * exhausted retries / timeout without incumbent → next rung;
+    * :class:`InfeasibleError` → next relaxation level (infeasibility is
+      deterministic, so retrying the same model is pointless);
+    * every rung and level failed → ``None`` (the caller's terminal rung
+      is the baseline heuristic assignment);
+    * deadline expired → :class:`StageTimeoutError` with the provenance
+      accumulated so far attached.
+
+    All attempts are recorded into ``provenance``; on success its
+    ``backend`` / ``degraded`` fields are set.
     """
-    if len(f_by_class) == 1:
-        return solve_rap_resilient(
-            f_by_class[0],
-            width_by_class[0],
-            pair_capacity,
-            budgets[0],
-            labels_by_class[0],
-            majority_track=majority_track,
-            minority_track=minority_tracks[0],
-            backend=backend,
-            time_limit_s=time_limit_s,
-            row_fill=row_fill,
-            policy=policy,
-            deadline=deadline,
-            provenance=provenance,
-            sparse=sparse,
-            candidate_k=candidate_k,
-            workers=workers,
-            warm_assignment=(
-                warm_assignment[0] if warm_assignment else None
-            ),
-        )
-
     policy = policy or ResiliencePolicy()
     deadline = deadline or Deadline.unlimited()
     prov = provenance if provenance is not None else FlowProvenance()
@@ -1354,11 +1754,13 @@ def solve_rap_nheight_resilient(
             if sum(bumped) <= n_p:
                 levels.append((1.0, bumped, f"budgets+{extra}"))
 
-    rungs = [
-        r for r in policy.backends(backend) if r in EXACT_BACKENDS
-    ] or list(EXACT_BACKENDS)
-    rungs = list(rungs) + ["sa"]
-    warm = warm_assignment
+    rungs = list(policy.backends(backend))
+    if len(f_by_class) > 1:
+        rungs = [r for r in rungs if r in EXACT_BACKENDS] or list(
+            EXACT_BACKENDS
+        )
+        rungs.append("sa")
+    prior = _valid_prior(warm_assignment, f_by_class)
 
     for fill, level_budgets, relaxation in levels:
         usable = pair_capacity * fill
@@ -1367,10 +1769,22 @@ def solve_rap_nheight_resilient(
                 f_by_class, width_by_class, usable, level_budgets
             )
         except InfeasibleError:
-            continue
+            continue  # not even modellable at this level; escalate
         if relaxation is not None:
             prov.relaxations.append(relaxation)
-            logger.info("N-height RAP escalating relaxation: %s", relaxation)
+            logger.info("RAP escalating relaxation: %s", relaxation)
+        if workers > 1 and len(rungs) > 1:
+            verdict, assignment = _race_rap_level(
+                rungs, f_by_class, width_by_class, usable, level_budgets,
+                labels_by_class, minority_tracks, majority_track, backend,
+                time_limit_s, sparse, candidate_k, warm_assignment,
+                workers, policy, deadline, prov, relaxation, sa_seed,
+            )
+            if verdict == "win":
+                return assignment
+            if verdict == "escalate":
+                continue
+            # "fallback": run this level's sequential rung loop below.
         escalate = False
         for rung in rungs:
             stage = f"rap.{rung}"
@@ -1383,36 +1797,27 @@ def solve_rap_nheight_resilient(
                 try:
                     with attempt_span:
                         policy.inject(stage)
-                        if rung == "sa":
-                            annealed = anneal_nheight(
-                                f_by_class, width_by_class, usable,
-                                level_budgets, seed=sa_seed,
-                                time_limit_s=deadline.clamp(time_limit_s),
-                                initial=warm,
+                        warm = (
+                            _seeded(
+                                prior, f_by_class, width_by_class, usable,
+                                level_budgets,
                             )
-                            if annealed is None:
-                                raise InfeasibleError(
-                                    "SA found no feasible N-height start"
-                                )
-                            assignment_maps, objective = annealed
-                            solution = None
-                        else:
-                            solution, assignment_maps, sparse_stats = (
-                                solve_rap_nheight(
-                                    f_by_class, width_by_class, usable,
-                                    level_budgets, backend=rung,
-                                    time_limit_s=deadline.clamp(
-                                        time_limit_s
-                                    ),
-                                    warm_assignment=warm,
-                                    candidate_k=candidate_k,
-                                    sparse=sparse,
-                                )
-                            )
+                            if rung in EXACT_BACKENDS
+                            else prior
+                        )
+                        solution, maps, stats = _solve_rung(
+                            rung, f_by_class, width_by_class, usable,
+                            level_budgets, warm, deadline.clamp(time_limit_s),
+                            candidate_k, sparse, workers=workers,
+                            sa_seed=sa_seed,
+                        )
+                        if stats is not None:
                             attempt_span.annotate(
-                                sparse_rounds=sparse_stats.rounds,
-                                sparse_candidates=sparse_stats.n_candidates,
-                                sparse_certified=sparse_stats.certified,
+                                sparse_rounds=stats.rounds,
+                                sparse_k=stats.k_final,
+                                sparse_candidates=stats.n_candidates,
+                                sparse_components=stats.n_components,
+                                sparse_certified=stats.certified,
                             )
                 except StageTimeoutError as exc:
                     prov.record(
@@ -1437,7 +1842,7 @@ def solve_rap_nheight_resilient(
                         relaxation=relaxation,
                     )
                     logger.warning(
-                        "N-height rung %s attempt %d failed: %s",
+                        "RAP rung %s attempt %d failed: %s",
                         rung, attempt, exc,
                     )
                     if attempt < max_attempts:
@@ -1454,7 +1859,7 @@ def solve_rap_nheight_resilient(
                         )
                         escalate = True
                         break
-                    if assignment_maps is None:
+                    if maps is None:
                         prov.record(
                             stage, rung, attempt, ok=False,
                             error=SolverError(
@@ -1463,34 +1868,18 @@ def solve_rap_nheight_resilient(
                             ),
                             runtime_s=runtime, relaxation=relaxation,
                         )
-                        break  # next rung (SA is last)
-                    objective = solution.objective
+                        break  # a timeout/error won't improve on retry
                 try:
-                    assignment = nheight_assignment_to_row_assignment(
-                        assignment_maps,
-                        labels_by_class,
-                        list(minority_tracks),
-                        majority_track,
-                        n_p,
-                        objective=objective,
-                        ilp_runtime_s=(
-                            solution.runtime_s if solution is not None
-                            else runtime
-                        ),
-                        num_variables=(
-                            sum(f.size for f in f_by_class)
-                            + len(f_by_class) * n_p
-                        ),
-                        solver_nodes=(
-                            solution.nodes if solution is not None else 0
-                        ),
+                    assignment = _decode(
+                        solution, maps, runtime, f_by_class,
+                        labels_by_class, minority_tracks, majority_track,
                     )
                 except InfeasibleError as exc:
                     prov.record(
                         stage, rung, attempt, ok=False, error=exc,
                         runtime_s=runtime, relaxation=relaxation,
                     )
-                    break
+                    break  # malformed decode: distrust this rung
                 prov.record(
                     stage, rung, attempt, ok=True,
                     runtime_s=runtime, relaxation=relaxation,
@@ -1503,10 +1892,11 @@ def solve_rap_nheight_resilient(
             if escalate:
                 break
         if not escalate:
+            # Every rung failed for non-infeasibility reasons; relaxation
+            # cannot fix that.  Hand over to the caller's terminal rung.
             logger.warning(
-                "N-height solver chain %s exhausted; caller falls back",
-                rungs,
+                "RAP solver chain %s exhausted; caller falls back", rungs
             )
             return None
-    logger.warning("N-height relaxation ladder exhausted; caller falls back")
+    logger.warning("RAP relaxation ladder exhausted; caller falls back")
     return None

@@ -17,10 +17,7 @@ import numpy as np
 
 from repro.core.fence import FenceRegions
 from repro.placement.db import PlacedDesign
-from repro.placement.incremental import (
-    fence_aware_refine,
-    fence_aware_refine_multi,
-)
+from repro.placement.incremental import fence_aware_refine
 from repro.placement.legalize import abacus_legalize
 from repro.utils.resilience import Deadline
 from repro.utils.timer import StageTimes, Timer
@@ -36,12 +33,17 @@ class RcLegalizationResult:
 
 def fence_region_legalize(
     placed: PlacedDesign,
-    minority_indices: np.ndarray,
-    minority_track: float,
+    class_indices: dict[float, np.ndarray],
     refine_iterations: int = 4,
     deadline: Deadline | None = None,
 ) -> RcLegalizationResult:
     """Run the proposed legalization in-place on the mixed-frame placement.
+
+    ``class_indices`` maps each minority track to its instance indices;
+    each class is fenced into the union of *its own* track's row pairs
+    (one :class:`FenceRegions` per class, projected jointly by
+    :func:`~repro.placement.incremental.fence_aware_refine`), then
+    Abacus runs per row class.
 
     ``displacement`` in the result is measured against the positions the
     placement held on entry (the mapped initial placement), matching the
@@ -56,54 +58,6 @@ def fence_region_legalize(
     """
     times = StageTimes()
     x0, y0 = placed.clone_positions()
-    minority_indices = np.asarray(minority_indices, dtype=int)
-    fp = placed.floorplan
-    if deadline is not None:
-        deadline.check("legalize.fence_refine")
-
-    with times.measure("fence_refine"):
-        fences = FenceRegions.from_floorplan(fp, minority_track)
-        fence_aware_refine(
-            placed, minority_indices, fences, iterations=refine_iterations
-        )
-
-    if deadline is not None:
-        deadline.check("legalize.abacus")
-    with times.measure("legalize"):
-        minority_rows = fp.rows_of_track(minority_track)
-        majority_rows = [r for r in fp.rows if r.track_height != minority_track]
-        n = placed.design.num_instances
-        mask = np.zeros(n, dtype=bool)
-        mask[minority_indices] = True
-        majority_indices = np.flatnonzero(~mask)
-        if len(minority_indices):
-            abacus_legalize(placed, minority_rows, minority_indices)
-        if len(majority_indices):
-            abacus_legalize(placed, majority_rows, majority_indices)
-
-    cx0 = x0 + placed.widths / 2.0
-    cy0 = y0 + placed.heights / 2.0
-    cx1, cy1 = placed.centers()
-    displacement = float(np.abs(cx1 - cx0).sum() + np.abs(cy1 - cy0).sum())
-    return RcLegalizationResult(displacement=displacement, times=times)
-
-
-def fence_region_legalize_nheight(
-    placed: PlacedDesign,
-    class_indices: dict[float, np.ndarray],
-    refine_iterations: int = 4,
-    deadline: Deadline | None = None,
-) -> RcLegalizationResult:
-    """The proposed legalization over ``K`` minority classes.
-
-    ``class_indices`` maps each minority track to its instance indices;
-    each class is fenced into the union of *its own* track's row pairs
-    (one :class:`FenceRegions` per class, projected jointly by
-    :func:`~repro.placement.incremental.fence_aware_refine_multi`), then
-    Abacus runs per row class.
-    """
-    times = StageTimes()
-    x0, y0 = placed.clone_positions()
     fp = placed.floorplan
     if deadline is not None:
         deadline.check("legalize.fence_refine")
@@ -113,9 +67,7 @@ def fence_region_legalize_nheight(
             (np.asarray(indices, dtype=int), FenceRegions.from_floorplan(fp, track))
             for track, indices in class_indices.items()
         ]
-        fence_aware_refine_multi(
-            placed, classes, iterations=refine_iterations
-        )
+        fence_aware_refine(placed, classes, iterations=refine_iterations)
 
     if deadline is not None:
         deadline.check("legalize.abacus")

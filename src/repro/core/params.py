@@ -6,7 +6,6 @@ Defaults are the paper's chosen operating point: clustering resolution
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.core.heights import HeightSpec
@@ -22,25 +21,17 @@ class RCPPParams:
     * ``s`` is the clustering resolution: ``N_C = ceil(s * N_minC)``
       clusters of minority cells (0 < s <= 1; s = 1 disables clustering in
       effect because every cell becomes its own cluster).
-    * ``heights`` is the first-class track-height specification
+    * ``heights`` is the track-height specification
       (:class:`~repro.core.heights.HeightSpec`): majority track plus one
-      or more minority classes, each with a forced or area-derived row
-      budget.  ``None`` (the default) resolves to a two-entry spec from
-      the legacy knobs below — see :meth:`resolved_heights`.
-    * ``minority_track`` selects which track height forms row islands
-      (7.5T in the paper; no more than ~30% of instances).  Deprecated
-      alongside ``minority_fill_target`` / ``n_minority_rows``: the
-      trio is the two-height special case of ``heights`` and setting any
-      of them to a non-default value emits a ``DeprecationWarning``.
-      They cannot be combined with an explicit ``heights``.
+      or more minority classes, each with a forced row budget (Eq. 5's
+      N_minR) or one derived from the class's area and fill target — the
+      flow runner uses one shared value for all flows (the paper's
+      fairness rule of matching Flow (2)).  ``None`` (the default) means
+      the two-height spec of the initial placement, 7.5T row islands in
+      6T rows for the paper's setting
+      (``HeightSpec.two_height(...)`` spells it out).
     * ``row_fill`` is the usable fraction of a row pair's width in the
       capacity constraint (Eq. 4; the paper uses the full w(r), i.e. 1.0).
-    * ``minority_fill_target`` sets how full minority rows are allowed to
-      be when *deriving* N_minR from minority area; lower values open more
-      minority rows.  Used only when ``n_minority_rows`` is None.
-    * ``n_minority_rows`` forces N_minR (Eq. 5); ``None`` derives it from
-      minority area — the flow runner uses one shared value for all flows
-      (the paper's fairness rule of matching Flow (2)).
     * ``solver_backend``: "highs" (default), "bnb" (own branch-and-bound)
       or "lagrangian" (heuristic subgradient).
 
@@ -69,7 +60,7 @@ class RCPPParams:
     * ``rap_workers`` is the RAP's process budget.  At 1 everything runs
       in-process.  Above 1 the resilient solve *races* its backend rungs
       concurrently on a supervised pool (first certified answer wins —
-      see :func:`repro.core.rap.solve_rap_resilient`); plain
+      see :func:`repro.core.heights.solve_rap_resilient`); plain
       ``solve_rap`` calls instead spend the workers on decomposed
       component sub-solves.
     """
@@ -77,10 +68,7 @@ class RCPPParams:
     alpha: float = 0.75
     s: float = 0.2
     heights: HeightSpec | None = None
-    minority_track: float = 7.5
     row_fill: float = 0.9
-    minority_fill_target: float = 0.6
-    n_minority_rows: int | None = None
     solver_backend: str = "highs"
     solver_time_limit_s: float | None = None
     kmeans_max_iterations: int = 60
@@ -93,63 +81,13 @@ class RCPPParams:
     rap_candidates: int | None = None
     rap_workers: int = 1
 
-    #: Legacy two-height knobs and their defaults, shimmed onto
-    #: ``heights``; non-default use warns, combining with ``heights``
-    #: raises.
-    _LEGACY_HEIGHT_FIELDS = {
-        "minority_track": 7.5,
-        "minority_fill_target": 0.6,
-        "n_minority_rows": None,
-    }
-
-    def _legacy_height_overrides(self) -> list[str]:
-        return [
-            name
-            for name, default in self._LEGACY_HEIGHT_FIELDS.items()
-            if getattr(self, name) != default
-        ]
-
-    def resolved_heights(self, majority_track: float = 6.0) -> HeightSpec:
-        """The effective :class:`HeightSpec`.
-
-        ``heights`` when set; otherwise the two-entry spec the legacy
-        ``minority_track`` / ``minority_fill_target`` /
-        ``n_minority_rows`` trio describes (``majority_track`` names the
-        remaining track, which the legacy surface never parameterized).
-        """
-        if self.heights is not None:
-            return self.heights
-        return HeightSpec.two_height(
-            majority_track=majority_track,
-            minority_track=self.minority_track,
-            n_minority_rows=self.n_minority_rows,
-            minority_fill_target=self.minority_fill_target,
-        )
-
     def __post_init__(self) -> None:
-        overrides = self._legacy_height_overrides()
-        if self.heights is not None and overrides:
-            raise ValidationError(
-                "pass either heights=HeightSpec(...) or the legacy "
-                f"{'/'.join(overrides)} keywords, not both"
-            )
-        if self.heights is None and overrides:
-            warnings.warn(
-                f"{'/'.join(overrides)} are deprecated; pass "
-                "heights=HeightSpec.two_height(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if not (0.0 <= self.alpha <= 1.0):
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (0.0 < self.s <= 1.0):
             raise ValidationError(f"s must be in (0, 1], got {self.s}")
         if not (0.0 < self.row_fill <= 1.0):
             raise ValidationError("row_fill must be in (0, 1]")
-        if not (0.0 < self.minority_fill_target <= 1.0):
-            raise ValidationError("minority_fill_target must be in (0, 1]")
-        if self.n_minority_rows is not None and self.n_minority_rows < 1:
-            raise ValidationError("n_minority_rows must be >= 1 when forced")
         if self.kmeans_max_iterations < 1:
             raise ValidationError("kmeans_max_iterations must be >= 1")
         if self.refine_iterations < 0:

@@ -22,35 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.sparse_rap import (
-    SparseSolveStats,
-    solve_rap_sparse,
-    validate_rap_inputs,
-)
-from repro.obs.convergence import observe
-from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
-from repro.obs.trace import span
-from repro.placement.shm import SHM_MIN_BYTES, publish_arrays
-from repro.solvers.milp import MilpModel, MilpSolution, MilpStatus, solve_milp
-from repro.utils.errors import (
-    InfeasibleError,
-    SolverError,
-    StageTimeoutError,
-    ValidationError,
-)
-from repro.utils.resilience import (
-    EXACT_BACKENDS,
-    Deadline,
-    FlowProvenance,
-    ResiliencePolicy,
-)
-from repro.utils.supervise import (
-    CancelToken,
-    RaceCancelled,
-    RaceEntry,
-    get_shared_pool,
-    race,
-)
+from repro.core.sparse_rap import solve_rap_sparse, validate_rap_inputs
+from repro.solvers.milp import MilpModel, MilpSolution, solve_milp
+from repro.utils.errors import InfeasibleError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -63,11 +37,10 @@ class RowAssignment:
     ``cluster_to_pair[c]`` the minority pair hosting cluster ``c``;
     ``cell_to_pair[i]`` the same per minority cell (via its cluster label).
 
-    For N-height solves (``repro.core.heights``) the concatenated
-    ``cluster_to_pair`` / ``cell_to_pair`` are class-major in spec order
-    and ``by_track`` holds each minority class's own
-    ``(cluster_to_pair, cell_to_pair)`` view; two-height solves leave it
-    ``None``.
+    ``cluster_to_pair`` / ``cell_to_pair`` are concatenated class-major
+    in spec order; ``classes`` records the split, one ``(track,
+    clusters, cells)`` entry per minority class, and :attr:`by_track`
+    views each class's slices.
     """
 
     pair_tracks: list[float]
@@ -78,11 +51,81 @@ class RowAssignment:
     ilp_runtime_s: float
     num_variables: int
     solver_nodes: int = 0
-    by_track: "dict[float, tuple[np.ndarray, np.ndarray]] | None" = None
+    classes: tuple[tuple[float, int, int], ...] = ()
 
     @property
     def n_minority_rows(self) -> int:
         return len(self.minority_pairs)
+
+    @property
+    def by_track(self) -> dict[float, tuple[np.ndarray, np.ndarray]]:
+        """Track -> that class's ``(cluster_to_pair, cell_to_pair)``."""
+        out: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        c0 = i0 = 0
+        for track, n_clusters, n_cells in self.classes:
+            out[track] = (
+                self.cluster_to_pair[c0:c0 + n_clusters],
+                self.cell_to_pair[i0:i0 + n_cells],
+            )
+            c0 += n_clusters
+            i0 += n_cells
+        return out
+
+    @classmethod
+    def from_classes(
+        cls,
+        by_track: "dict[float, tuple[np.ndarray, np.ndarray]]",
+        majority_track: float,
+        n_pairs: int,
+        objective: float,
+        ilp_runtime_s: float = 0.0,
+        num_variables: int = 0,
+        solver_nodes: int = 0,
+    ) -> "RowAssignment":
+        """Assemble an assignment from per-class maps (spec order).
+
+        ``by_track`` maps each minority track to its ``(cluster_to_pair,
+        cell_to_pair)``; every pair a class uses takes that class's
+        track.  Raises :class:`InfeasibleError` when a cluster is left
+        unassigned (``-1``) or two classes claim one pair.
+        """
+        pair_tracks = [majority_track] * n_pairs
+        opened_all: list[np.ndarray] = []
+        for track, (cluster_to_pair, _) in by_track.items():
+            if np.any(cluster_to_pair < 0):
+                raise InfeasibleError(
+                    f"RAP solution leaves {track:g}T cluster(s) unassigned"
+                )
+            opened = np.unique(cluster_to_pair)
+            for p in opened.tolist():
+                if pair_tracks[p] != majority_track:
+                    raise InfeasibleError(
+                        f"pair {p} claimed by both {pair_tracks[p]}T and "
+                        f"{track}T"
+                    )
+                pair_tracks[p] = track
+            opened_all.append(opened)
+        return cls(
+            pair_tracks=pair_tracks,
+            minority_pairs=np.unique(np.concatenate(opened_all)),
+            cluster_to_pair=np.concatenate([c for c, _ in by_track.values()]),
+            cell_to_pair=np.concatenate([c for _, c in by_track.values()]),
+            objective=objective,
+            ilp_runtime_s=ilp_runtime_s,
+            num_variables=num_variables,
+            solver_nodes=solver_nodes,
+            classes=_layout(by_track),
+        )
+
+
+def _layout(
+    by_track: "dict[float, tuple[np.ndarray, np.ndarray]]",
+) -> tuple[tuple[float, int, int], ...]:
+    """The ``classes`` split of per-class ``(cluster_to_pair, cell_to_pair)``."""
+    return tuple(
+        (track, len(clusters), len(cells))
+        for track, (clusters, cells) in by_track.items()
+    )
 
 
 def required_minority_pairs(
@@ -224,10 +267,23 @@ def greedy_rap(
         assignment[cluster] = choice
         remaining[choice] -= width
     if len(open_pairs) != n_minority_rows:
-        # Fewer opened than required: open the cheapest unused pairs so the
-        # row count matches (they stay empty only in the warm start, which
-        # the exact solve then repairs — see solve_rap).
+        # Fewer pairs opened than required: no warm start with exactly
+        # N_minR rows exists on this path, so the exact solve runs without.
         return None
+    return assignment
+
+
+def dense_assignment(
+    x: np.ndarray, n_clusters: int, n_pairs: int
+) -> np.ndarray:
+    """Cluster -> pair map of a dense-layout solution vector.
+
+    A cluster whose row does not hold exactly one chosen pair maps to
+    ``-1``, which :meth:`RowAssignment.from_classes` rejects.
+    """
+    chosen = np.round(x[: n_clusters * n_pairs]).reshape(n_clusters, n_pairs)
+    assignment = np.argmax(chosen, axis=1)
+    assignment[chosen.sum(axis=1) != 1] = -1
     return assignment
 
 
@@ -239,24 +295,14 @@ def solution_to_assignment(
     majority_track: float,
     minority_track: float,
 ) -> RowAssignment:
-    """Decode a MILP solution vector into a :class:`RowAssignment`."""
+    """Decode a two-height MILP solution vector into a :class:`RowAssignment`."""
     if not solution.ok or solution.x is None:
         raise InfeasibleError(f"RAP solve failed: {solution.status}")
-    x = np.round(solution.x[: n_clusters * n_pairs]).reshape(n_clusters, n_pairs)
-    cluster_to_pair = np.argmax(x, axis=1)
-    if not np.all(x.sum(axis=1) == 1):
-        raise InfeasibleError("RAP solution violates unique assignment")
-    minority_pairs = np.unique(cluster_to_pair)
-    pair_tracks = [
-        minority_track if p in set(minority_pairs.tolist()) else majority_track
-        for p in range(n_pairs)
-    ]
-    cell_to_pair = cluster_to_pair[labels]
-    return RowAssignment(
-        pair_tracks=pair_tracks,
-        minority_pairs=minority_pairs,
-        cluster_to_pair=cluster_to_pair,
-        cell_to_pair=cell_to_pair,
+    cluster_to_pair = dense_assignment(solution.x, n_clusters, n_pairs)
+    return RowAssignment.from_classes(
+        {minority_track: (cluster_to_pair, cluster_to_pair[labels])},
+        majority_track,
+        n_pairs,
         objective=solution.objective,
         ilp_runtime_s=solution.runtime_s,
         num_variables=n_clusters * n_pairs + n_pairs,
@@ -271,7 +317,6 @@ def repair_assignment(
     objective: float,
     runtime_s: float,
     solver_nodes: int = 0,
-    by_track: "dict[float, tuple[np.ndarray, np.ndarray]] | None" = None,
 ) -> RowAssignment:
     """Rebind clusters to pairs under the incumbent's *frozen* row map.
 
@@ -304,7 +349,7 @@ def repair_assignment(
         ilp_runtime_s=float(runtime_s),
         num_variables=base.num_variables,
         solver_nodes=solver_nodes,
-        by_track=by_track,
+        classes=base.classes,
     )
 
 
@@ -385,646 +430,3 @@ def solve_rap(
         majority_track=majority_track,
         minority_track=minority_track,
     )
-
-
-def _valid_prior(
-    prior: np.ndarray | None, n_clusters: int, n_pairs: int
-) -> np.ndarray | None:
-    """A prior assignment, or None when its shape/range no longer fits."""
-    if prior is None:
-        return None
-    prior = np.asarray(prior, dtype=int)
-    if prior.shape != (n_clusters,):
-        return None
-    if np.any(prior < 0) or np.any(prior >= n_pairs):
-        return None
-    return prior
-
-
-def _warm_start_vector(
-    model: MilpModel,
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    usable_capacity: np.ndarray,
-    n_minority_rows: int,
-    prior: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Warm start encoded as a model vector.
-
-    ``prior`` (the previous refinement iteration's assignment) wins when
-    it is still feasible for this instance; the greedy heuristic is the
-    fallback.
-    """
-    prior = _valid_prior(prior, *f.shape)
-    if prior is not None:
-        candidate = assignment_to_vector(prior, *f.shape)
-        if model.is_feasible(candidate):
-            return candidate
-    warm = greedy_rap(f, cluster_width, usable_capacity, n_minority_rows)
-    if warm is None:
-        return None
-    candidate = assignment_to_vector(warm, *f.shape)
-    return candidate if model.is_feasible(candidate) else None
-
-
-def _race_rung_job(payload: dict) -> dict:
-    """One backend rung's full RAP solve (module-level so it pickles).
-
-    Runs inside a :class:`~repro.utils.supervise.SupervisedPool` worker;
-    the embedded engine always runs with ``workers=1`` (no nested pools
-    inside a racing worker).  Returns the raw :class:`MilpSolution` plus
-    engine stats; decoding happens in the parent, where ``labels`` and
-    the track heights live.
-
-    Large instances arrive as a shared-memory handle under ``"shm"``
-    (``f``/``w``/``cap`` attached read-only, zero-copy) instead of
-    pickled arrays; see :mod:`repro.placement.shm`.
-    """
-    attachment = None
-    if "shm" in payload:
-        from repro.placement.shm import attach_arrays
-
-        # ``_pool_attempt`` is stamped by the supervised pool's worker
-        # wrapper only: its absence means this is an inline (in-parent)
-        # last-resort run, where worker faults must not fire.
-        attempt = payload.get("_pool_attempt")
-        attachment = attach_arrays(
-            payload["shm"],
-            fault_plan=payload.get("shm_fault_plan") if attempt is not None else None,
-            fault_stage="shm.attach",
-            attempt=attempt,
-        )
-        payload = dict(
-            payload, f=attachment["f"], w=attachment["w"], cap=attachment["cap"]
-        )
-    try:
-        return _race_rung_solve(payload)
-    finally:
-        if attachment is not None:
-            attachment.close()
-
-
-def _race_rung_solve(payload: dict) -> dict:
-    """One rung's solve under a scoped registry.
-
-    The snapshot travels back in ``"metrics"`` so the parent can merge
-    worker-side telemetry (span histograms, solver counters) into its
-    own registry — racing used to drop it entirely.
-    """
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        out = _race_rung_solve_inner(payload)
-    out["metrics"] = registry.snapshot()
-    return out
-
-
-def _race_rung_solve_inner(payload: dict) -> dict:
-    rung = payload["rung"]
-    cancel = payload.get("cancel")
-    if payload["sparse"]:
-        solution, stats = solve_rap_sparse(
-            payload["f"],
-            payload["w"],
-            payload["cap"],
-            payload["n_rows"],
-            backend=rung,
-            time_limit_s=payload.get("time_limit_s"),
-            warm_assignment=payload.get("warm"),
-            candidate_k=payload.get("candidate_k"),
-            workers=1,
-            cancel=cancel,
-        )
-        return {"rung": rung, "solution": solution, "stats": stats}
-    model = build_rap_model(
-        payload["f"], payload["w"], payload["cap"], payload["n_rows"]
-    )
-    warm_vec = None
-    warm = payload.get("warm")
-    if warm is not None:
-        candidate = assignment_to_vector(warm, *payload["f"].shape)
-        if model.is_feasible(candidate):
-            warm_vec = candidate
-    solution = solve_milp(
-        model,
-        backend=rung,
-        time_limit_s=payload.get("time_limit_s"),
-        warm_start=warm_vec,
-        cancel=cancel,
-    )
-    return {"rung": rung, "solution": solution, "stats": None}
-
-
-def _certified_exact(rung: str, solution: MilpSolution) -> bool:
-    """The race's certification rule: exact backend + proven optimum."""
-    return rung in EXACT_BACKENDS and solution.status is MilpStatus.OPTIMAL
-
-
-def _race_rap_level(
-    rungs: tuple[str, ...],
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    usable: np.ndarray,
-    n_rows: int,
-    labels: np.ndarray,
-    majority_track: float,
-    minority_track: float,
-    backend: str,
-    time_limit_s: float | None,
-    sparse: bool,
-    candidate_k: int | None,
-    warm_assignment: np.ndarray | None,
-    workers: int,
-    policy: ResiliencePolicy,
-    deadline: Deadline,
-    prov: FlowProvenance,
-    relaxation: str | None,
-) -> tuple[str, RowAssignment | None]:
-    """Race all backend rungs of one relaxation level concurrently.
-
-    First *certified* answer wins (see :func:`_certified_exact`); losers
-    are cancelled — their pool workers killed, cooperative solvers
-    additionally observing the shared :class:`CancelToken`.  When nothing
-    certifies, the surviving outcomes are scanned in rung-preference
-    order, mirroring the sequential chain.
-
-    Returns a verdict and (for ``"win"``) the decoded assignment:
-
-    * ``("win", assignment)`` — a rung answered; provenance updated;
-    * ``("escalate", None)`` — some rung proved infeasibility, move to
-      the next relaxation level;
-    * ``("fallback", None)`` — nothing usable came back, run this
-      level's sequential rung loop instead (worker-only faults do not
-      fire inline, so the sequential pass is also the degraded-mode
-      last resort).
-
-    A certified-exact winner is *not* marked degraded even when it is
-    not the requested backend: both exact backends prove the same
-    optimum, so the answer is bit-equivalent to the sequential chain's.
-    (The sequential chain marks any non-primary rung degraded because
-    there a fallback implies the primary *failed*; in a race losing on
-    latency is not a failure.)
-    """
-    stage = "rap.race"
-    deadline.check(stage, provenance=prov)
-    limit = deadline.clamp(time_limit_s)
-    # A healthy rung obeys ``limit`` internally; supervision only has to
-    # catch wedged workers, so the kill deadline gets a generous margin.
-    task_timeout_s = None if limit is None else max(5.0, 3.0 * limit)
-
-    warm_prior = _valid_prior(warm_assignment, *f.shape)
-    greedy: np.ndarray | None = None
-    cancel = CancelToken()
-
-    # Large instances go to the workers as one shared-memory segment per
-    # race (zero-copy attach) instead of one pickled (f, w, cap) copy per
-    # rung; small ones inline — the pickle is cheaper than a segment.
-    publication = None
-    arrays_nbytes = f.nbytes + cluster_width.nbytes + usable.nbytes
-    if len(rungs) > 1 and arrays_nbytes > SHM_MIN_BYTES:
-        publication = publish_arrays(
-            {"f": f, "w": cluster_width, "cap": usable}
-        )
-    shared: dict[str, object] = (
-        {"f": f, "w": cluster_width, "cap": usable}
-        if publication is None
-        else {"shm": publication.handle, "shm_fault_plan": policy.fault_plan}
-    )
-
-    entries = []
-    for rung in rungs:
-        warm = warm_prior
-        if warm is None and rung in EXACT_BACKENDS:
-            if greedy is None:
-                greedy = greedy_rap(f, cluster_width, usable, n_rows)
-            warm = greedy
-        entries.append(
-            RaceEntry(
-                label=rung,
-                fn=_race_rung_job,
-                item={
-                    "rung": rung,
-                    **shared,
-                    "n_rows": n_rows,
-                    "time_limit_s": limit,
-                    "warm": warm,
-                    "candidate_k": candidate_k,
-                    "sparse": sparse,
-                    "cancel": cancel,
-                },
-                fault_stage=f"rap.{rung}",
-            )
-        )
-
-    def certify(i: int, value: dict) -> bool:
-        if _certified_exact(rungs[i], value["solution"]):
-            cancel.set()  # cooperative losers stop before the kill lands
-            return True
-        return False
-
-    pool = get_shared_pool(min(workers, len(entries)))
-    pool.fault_plan = policy.fault_plan
-    pool.task_timeout_s = task_timeout_s
-    try:
-        with span(
-            stage,
-            rungs=",".join(rungs),
-            workers=pool.workers,
-            relaxation=relaxation,
-        ) as race_span:
-            result = race(entries, certify, pool=pool)
-            race_span.annotate(
-                winner=result.winner,
-                wall_s=result.wall_s,
-                cancel_latency_s=result.cancel_latency_s,
-                crashes=result.crashes,
-                hangs=result.hangs,
-                cancelled=result.n_cancelled,
-            )
-            # Convergence points are numeric-only; the winner label and
-            # relaxation string live on the span attributes above.
-            observe(
-                stage,
-                winner_index=(
-                    -1.0
-                    if result.winner_index is None
-                    else float(result.winner_index)
-                ),
-                wall_s=result.wall_s,
-                cancel_latency_s=result.cancel_latency_s,
-                crashes=result.crashes,
-                hangs=result.hangs,
-                cancelled=result.n_cancelled,
-            )
-    finally:
-        cancel.clear()
-        if publication is not None:
-            publication.close()
-
-    # Fold every rung's worker-side registry snapshot into the parent
-    # registry; racing used to drop worker metrics entirely.
-    registry = current_registry()
-    for outcome in result.outcomes:
-        if outcome.ok and isinstance(outcome.value, dict):
-            snapshot = outcome.value.get("metrics")
-            if snapshot:
-                registry.merge(snapshot)
-
-    # Preference order: the certified winner if any, else the first rung
-    # (in chain order) that returned a usable solution.
-    order = list(range(len(rungs)))
-    if result.winner_index is not None:
-        order.remove(result.winner_index)
-        order.insert(0, result.winner_index)
-    chosen: int | None = None
-    assignment: RowAssignment | None = None
-    infeasible_seen = False
-    decode_errors: dict[int, BaseException] = {}
-    for i in order:
-        outcome = result.outcomes[i]
-        if not outcome.ok:
-            continue
-        solution: MilpSolution = outcome.value["solution"]
-        if solution.status is MilpStatus.INFEASIBLE:
-            infeasible_seen = True
-            continue
-        if not solution.ok or solution.x is None:
-            continue
-        try:
-            assignment = solution_to_assignment(
-                solution,
-                n_clusters=f.shape[0],
-                n_pairs=f.shape[1],
-                labels=labels,
-                majority_track=majority_track,
-                minority_track=minority_track,
-            )
-        except InfeasibleError as exc:
-            decode_errors[i] = exc
-            continue
-        chosen = i
-        break
-
-    for i, rung in enumerate(rungs):
-        outcome = result.outcomes[i]
-        attempt = max(1, outcome.attempts)
-        if i == chosen:
-            prov.record(
-                f"rap.{rung}", rung, attempt, ok=True,
-                runtime_s=outcome.wall_s, relaxation=relaxation,
-            )
-            continue
-        if outcome.ok:
-            solution = outcome.value["solution"]
-            if solution.status is MilpStatus.INFEASIBLE:
-                error: BaseException = InfeasibleError("model infeasible")
-            elif i in decode_errors:
-                error = decode_errors[i]
-            elif not solution.ok or solution.x is None:
-                error = SolverError(
-                    f"no incumbent (status {solution.status.value})"
-                )
-            else:
-                error = SolverError("lost race: uncertified answer")
-            prov.record(
-                f"rap.{rung}", rung, attempt, ok=False, error=error,
-                runtime_s=outcome.wall_s, relaxation=relaxation,
-            )
-        else:
-            # TaskOutcome carries the error as (type name, message)
-            # strings; rebuild something record() can stringify while
-            # keeping cancellations recognizable.
-            if outcome.status == "cancelled":
-                error = RaceCancelled(outcome.error or "lost race")
-            else:
-                error = SolverError(
-                    f"[{outcome.error_type}] {outcome.error}"
-                )
-            prov.record(
-                f"rap.{rung}", rung, attempt, ok=False,
-                error=error, runtime_s=outcome.wall_s,
-                relaxation=relaxation,
-            )
-
-    if chosen is not None:
-        rung = rungs[chosen]
-        prov.backend = rung
-        certified = chosen == result.winner_index
-        prov.degraded = bool(
-            (not certified and rung != backend)
-            or relaxation is not None
-            or result.outcomes[chosen].ran_inline
-        )
-        return "win", assignment
-    if infeasible_seen:
-        return "escalate", None
-    logger.warning(
-        "RAP race produced no usable answer; falling back to the "
-        "sequential chain for this level"
-    )
-    return "fallback", None
-
-
-def solve_rap_resilient(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_minority_rows: int,
-    labels: np.ndarray,
-    majority_track: float = 6.0,
-    minority_track: float = 7.5,
-    backend: str = "highs",
-    time_limit_s: float | None = None,
-    row_fill: float = 1.0,
-    policy: ResiliencePolicy | None = None,
-    deadline: Deadline | None = None,
-    provenance: FlowProvenance | None = None,
-    sparse: bool = True,
-    candidate_k: int | None = None,
-    workers: int = 1,
-    warm_assignment: np.ndarray | None = None,
-) -> RowAssignment | None:
-    """Solve the RAP under a solver fallback chain with relaxation.
-
-    Unlike :func:`solve_rap`, ``pair_capacity`` here is the *raw* pair
-    capacity; ``row_fill`` is applied per relaxation level so a failed
-    chain can retry with relaxed constraints (``row_fill`` → 1.0 first,
-    then N_minR bumped while pairs remain).
-
-    ``sparse`` (the default) routes every exact rung through the sparse
-    engine (:mod:`repro.core.sparse_rap`) — candidate pruning with a
-    pricing/repair loop that certifies equality with the dense optimum —
-    and the heuristic rung straight onto the cost arrays with no model
-    build at all.  ``warm_assignment`` (e.g. the previous refinement
-    iteration's cluster -> pair map) seeds every rung's warm start;
-    without it the B&B rung falls back to the greedy heuristic as
-    before.
-
-    ``workers > 1`` switches the chain from sequential to *racing*: all
-    rungs of a relaxation level run concurrently on a supervised,
-    crash-tolerant process pool (:mod:`repro.utils.supervise`) and the
-    first certified answer — an exact backend proving optimality — wins,
-    cancelling the others.  Healthy-path answers are identical to the
-    sequential chain's (both exact backends prove the same optimum); a
-    failure merely stops costing the failed rung's wall-clock.  Race
-    outcomes land in ``provenance``, a ``rap.race`` span, and a
-    FlightRecorder observation.  Each racing rung runs its internal
-    engine single-threaded; leave ``workers`` at 1 to instead spend them
-    on the sparse engine's component fan-out.
-
-    Failure ladder per :class:`~repro.utils.resilience.ResiliencePolicy`:
-
-    * transient :class:`SolverError` → retry the rung (with backoff);
-    * exhausted retries / timeout without incumbent → next rung;
-    * :class:`InfeasibleError` → next relaxation level (infeasibility is
-      deterministic, so retrying the same model is pointless);
-    * every rung and level failed → ``None`` (the caller's terminal rung
-      is the baseline heuristic assignment);
-    * deadline expired → :class:`StageTimeoutError` with the provenance
-      accumulated so far attached.
-
-    All attempts are recorded into ``provenance``; on success its
-    ``backend`` / ``degraded`` fields are set.
-    """
-    policy = policy or ResiliencePolicy()
-    deadline = deadline or Deadline.unlimited()
-    prov = provenance if provenance is not None else FlowProvenance()
-    if prov.requested_backend is None:
-        prov.requested_backend = backend
-    n_pairs = f.shape[1]
-
-    levels: list[tuple[float, int, str | None]] = [
-        (row_fill, n_minority_rows, None)
-    ]
-    if policy.relaxation_enabled:
-        if row_fill < 1.0:
-            levels.append((1.0, n_minority_rows, "row_fill->1.0"))
-        for extra in (1, 2):
-            if n_minority_rows + extra <= n_pairs:
-                levels.append(
-                    (1.0, n_minority_rows + extra, f"n_min_rows+{extra}")
-                )
-
-    rungs = policy.backends(backend)
-    for fill, n_rows, relaxation in levels:
-        usable = pair_capacity * fill
-        try:
-            validate_rap_inputs(f, cluster_width, usable, n_rows)
-        except InfeasibleError:
-            continue  # not even modellable at this level; escalate
-        # Dense path only; the sparse engine builds restricted models
-        # per rung (and the heuristic rung builds none at all).
-        model = (
-            None
-            if sparse
-            else build_rap_model(f, cluster_width, usable, n_rows)
-        )
-        if relaxation is not None:
-            prov.relaxations.append(relaxation)
-            logger.info("RAP escalating relaxation: %s", relaxation)
-        if workers > 1 and len(rungs) > 1:
-            verdict, assignment = _race_rap_level(
-                rungs,
-                f,
-                cluster_width,
-                usable,
-                n_rows,
-                labels,
-                majority_track,
-                minority_track,
-                backend,
-                time_limit_s,
-                sparse,
-                candidate_k,
-                warm_assignment,
-                workers,
-                policy,
-                deadline,
-                prov,
-                relaxation,
-            )
-            if verdict == "win":
-                return assignment
-            if verdict == "escalate":
-                continue
-            # "fallback": run this level's sequential rung loop below.
-        escalate = False
-        for rung in rungs:
-            stage = f"rap.{rung}"
-            attempt = 0
-            while attempt < policy.retry.max_attempts:
-                attempt += 1
-                deadline.check(stage, provenance=prov)
-                attempt_span = span(stage, backend=rung, attempt=attempt)
-                try:
-                    with attempt_span:
-                        policy.inject(stage)
-                        if sparse:
-                            warm = _valid_prior(warm_assignment, *f.shape)
-                            if warm is None and rung in ("highs", "bnb"):
-                                # Cheap incumbent: seeds bnb's search and
-                                # the sparse engine's reduced-cost fixing
-                                # (highs itself ignores warm starts).
-                                warm = greedy_rap(
-                                    f, cluster_width, usable, n_rows
-                                )
-                            solution, sparse_stats = solve_rap_sparse(
-                                f,
-                                cluster_width,
-                                usable,
-                                n_rows,
-                                backend=rung,
-                                time_limit_s=deadline.clamp(time_limit_s),
-                                warm_assignment=warm,
-                                candidate_k=candidate_k,
-                                workers=workers,
-                            )
-                            attempt_span.annotate(
-                                sparse_rounds=sparse_stats.rounds,
-                                sparse_k=sparse_stats.k_final,
-                                sparse_candidates=sparse_stats.n_candidates,
-                                sparse_components=sparse_stats.n_components,
-                                sparse_certified=sparse_stats.certified,
-                            )
-                        else:
-                            warm = (
-                                _warm_start_vector(
-                                    model,
-                                    f,
-                                    cluster_width,
-                                    usable,
-                                    n_rows,
-                                    prior=warm_assignment,
-                                )
-                                if rung == "bnb"
-                                or warm_assignment is not None
-                                else None
-                            )
-                            solution = solve_milp(
-                                model,
-                                backend=rung,
-                                time_limit_s=deadline.clamp(time_limit_s),
-                                warm_start=warm,
-                            )
-                except StageTimeoutError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    exc.provenance = prov
-                    raise
-                except InfeasibleError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    escalate = True
-                    break
-                except (SolverError, ValidationError) as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=attempt_span.duration_s,
-                        relaxation=relaxation,
-                    )
-                    logger.warning(
-                        "RAP rung %s attempt %d failed: %s",
-                        rung, attempt, exc,
-                    )
-                    if attempt < policy.retry.max_attempts:
-                        policy.sleep(policy.retry.delay(attempt))
-                    continue
-                runtime = attempt_span.duration_s
-
-                if solution.status is MilpStatus.INFEASIBLE:
-                    prov.record(
-                        stage, rung, attempt, ok=False,
-                        error=InfeasibleError("model infeasible"),
-                        runtime_s=runtime, relaxation=relaxation,
-                    )
-                    escalate = True
-                    break
-                if not solution.ok or solution.x is None:
-                    prov.record(
-                        stage, rung, attempt, ok=False,
-                        error=SolverError(
-                            f"no incumbent (status {solution.status.value})"
-                        ),
-                        runtime_s=runtime, relaxation=relaxation,
-                    )
-                    break  # a timeout/error won't improve on retry: next rung
-                try:
-                    assignment = solution_to_assignment(
-                        solution,
-                        n_clusters=f.shape[0],
-                        n_pairs=n_pairs,
-                        labels=labels,
-                        majority_track=majority_track,
-                        minority_track=minority_track,
-                    )
-                except InfeasibleError as exc:
-                    prov.record(
-                        stage, rung, attempt, ok=False, error=exc,
-                        runtime_s=runtime, relaxation=relaxation,
-                    )
-                    break  # malformed decode: distrust this rung
-                prov.record(
-                    stage, rung, attempt, ok=True,
-                    runtime_s=runtime, relaxation=relaxation,
-                )
-                prov.backend = rung
-                prov.degraded = bool(
-                    rung != backend or relaxation is not None
-                )
-                return assignment
-            if escalate:
-                break
-        if not escalate:
-            # Every rung failed for non-infeasibility reasons; relaxation
-            # cannot fix that.  Hand over to the caller's terminal rung.
-            logger.warning(
-                "RAP solver chain %s exhausted; caller falls back", rungs
-            )
-            return None
-    logger.warning("RAP relaxation ladder exhausted; caller falls back")
-    return None

@@ -96,7 +96,6 @@ class RowConstraintPlacer:
         initial = prepare_initial_placement(
             design,
             self.library,
-            minority_track=self.params.minority_track,
             utilization=self.utilization,
             aspect_ratio=self.aspect_ratio,
             placer_params=self.placer_params,
@@ -109,14 +108,9 @@ class RowConstraintPlacer:
         flow: FlowResult = runner.run(FlowKind.FLOW5)
         assert flow.assignment is not None
         # Fences of the first (for two-height specs: the only) minority
-        # class, preserving the legacy result shape.
-        fence_track = (
-            self.params.minority_track
-            if self.params.heights is None
-            else self.params.heights.minority_tracks[0]
-        )
+        # class.
         fences = FenceRegions.from_floorplan(
-            flow.placed.floorplan, fence_track
+            flow.placed.floorplan, runner.spec.minority_tracks[0]
         )
         return RowConstraintResult(
             placed=flow.placed,

@@ -741,32 +741,28 @@ class EcoResult:
 def _repair_classes(runner, base, labels_by, app):
     """Per-class incremental RAP repair under the frozen row map.
 
-    Returns ``(cluster_to_pair_concat, labels_concat, by_track,
-    objective, certified, dirty_count, moved_clusters_by_class)``.
+    Returns ``(cluster_to_pair_concat, labels_concat, objective,
+    certified, dirty_count, moved_clusters_by_class)``.
     Raises :class:`_EcoFallback` when any class's restricted repair
     cannot certify equality with its row-frozen subproblem optimum.
     """
     from repro.core.cost import compute_rap_costs
+    from repro.core.rap import dense_assignment
     from repro.core.sparse_rap import solve_rap_sparse
 
     init = runner.initial
     params = runner.params
     cap = init.pair_capacity * params.row_fill
-    single = len(runner._classes) == 1
 
     parts_c2p: list[np.ndarray] = []
     parts_labels: list[np.ndarray] = []
-    by_track: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     moved_by: list[np.ndarray] = []
     objective = 0.0
     certified = True
     dirty_total = 0
     offset = 0
     for (track, indices, widths), labels in zip(runner._classes, labels_by):
-        warm = (
-            base.cluster_to_pair if single else base.by_track[track][0]
-        )
-        warm = np.asarray(warm, dtype=int)
+        warm = np.asarray(base.by_track[track][0], dtype=int)
         n_clusters = len(warm)
         dirty = np.unique(labels[np.isin(indices, app.touched)])
         dirty_total += len(dirty)
@@ -810,21 +806,17 @@ def _repair_classes(runner, base, labels_by, app):
                 raise _EcoFallback(
                     f"restricted repair uncertified for {track:g}T"
                 )
-            n_pairs = len(init.pair_capacity)
-            x = np.round(
-                solution.x[: n_clusters * n_pairs]
-            ).reshape(n_clusters, n_pairs)
-            new = np.argmax(x, axis=1)
+            new = dense_assignment(
+                solution.x, n_clusters, len(init.pair_capacity)
+            )
         objective += float(f[np.arange(n_clusters), new].sum())
         moved_by.append(np.flatnonzero(new != warm))
         parts_c2p.append(new)
         parts_labels.append(labels + offset)
-        by_track[track] = (new, new[labels])
         offset += n_clusters
     return (
         np.concatenate(parts_c2p),
         np.concatenate(parts_labels),
-        by_track if not single else None,
         objective,
         certified,
         dirty_total,
@@ -875,7 +867,6 @@ def _legalize_windows(
     """
     pairs = placed.floorplan.row_pairs()
     pair_center = np.array([p.center_y for p in pairs], dtype=float)
-    single = len(runner._classes) == 1
     # Geometry-disturbed cells only: resizes/ghosts change widths and
     # inserts add cells, but a rewire swaps connectivity without moving
     # anything — its rows stay legal and need no window pass.
@@ -884,10 +875,7 @@ def _legalize_windows(
     ).astype(np.int64)
     offset = 0
     for k, (track, indices, _w) in enumerate(runner._classes):
-        warm = np.asarray(
-            base.cluster_to_pair if single else base.by_track[track][0],
-            dtype=int,
-        )
+        warm = np.asarray(base.by_track[track][0], dtype=int)
         n_clusters = len(warm)
         new = np.asarray(c2p_concat[offset:offset + n_clusters], dtype=int)
         offset += n_clusters
@@ -957,15 +945,15 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
             if labels_by is None or len(labels_by) != len(runner._classes):
                 raise _EcoFallback("no cached clustering labels")
             (
-                c2p, labels_concat, by_track, objective, certified,
-                n_dirty, moved_by,
+                c2p, labels_concat, objective, certified, n_dirty,
+                moved_by,
             ) = _repair_classes(runner, base, labels_by, app)
             placed = _sync_mixed_frame(runner, incumbent, app)
             x0, y0 = placed.clone_positions()
             base_hpwl = hpwl_total(placed)
             assignment = repair_assignment(
                 base, c2p, labels_concat, objective,
-                time.perf_counter() - t0, by_track=by_track,
+                time.perf_counter() - t0,
             )
             _legalize_windows(
                 runner, placed, base, c2p, labels_by, moved_by, app
@@ -992,11 +980,9 @@ def run_eco(runner, delta: NetlistDelta, incumbent) -> EcoResult:
         runner._ilp = (
             assignment, 0.0, seconds, int(labels_concat.max()) + 1, prov,
         )
-        runner._rap_warm = (
-            assignment.cluster_to_pair
-            if by_track is None
-            else [by_track[t][0] for t, _i, _w in runner._classes]
-        )
+        runner._rap_warm = [
+            assignment.by_track[t][0] for t, _i, _w in runner._classes
+        ]
         emit_event(
             "eco.repaired",
             seconds=seconds,

@@ -283,7 +283,6 @@ def load_or_prepare_initial(
             prepare_initial_placement(
                 design,
                 library,
-                minority_track=config.params.minority_track,
                 utilization=config.utilization,
                 aspect_ratio=config.aspect_ratio,
                 heights=config.params.heights,
@@ -299,7 +298,6 @@ def load_or_prepare_initial(
         initial = prepare_initial_placement(
             design,
             library,
-            minority_track=config.params.minority_track,
             utilization=config.utilization,
             aspect_ratio=config.aspect_ratio,
             heights=config.params.heights,

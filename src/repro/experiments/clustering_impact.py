@@ -34,14 +34,14 @@ class AblationPoint:
 
 def run(
     testcase_ids: tuple[str, ...] = QUICK_SUBSET_IDS,
-    scale: float | None = None,
     s_values: tuple[float, ...] = (0.2, 0.5),
-    base_params: RCPPParams | None = None,
     config: RunConfig | None = None,
 ) -> list[AblationPoint]:
-    explicit = config is not None or base_params is not None
-    config = resolve_run_config(config, scale=scale, params=base_params)
-    base = config.params if explicit else RCPPParams(solver_time_limit_s=600.0)
+    base = (
+        config.params if config is not None
+        else RCPPParams(solver_time_limit_s=600.0)
+    )
+    config = resolve_run_config(config)
     testcases: list[TestcaseSpec] = testcase_subset(testcase_ids)
 
     # metric[s][testcase]; index 0 is the no-clustering reference.

@@ -73,16 +73,20 @@ def _sweep(
     ]
 
 
+def _base_params(config: RunConfig | None) -> RCPPParams:
+    """The swept configuration's params, else a 300 s per-solve limit."""
+    if config is not None:
+        return config.params
+    return RCPPParams(solver_time_limit_s=300.0)
+
+
 def run_s_sweep(
-    scale: float | None = None,
     testcase_ids: tuple[str, ...] = PARAMETER_SUBSET_IDS,
     s_values: tuple[float, ...] = S_VALUES,
-    base_params: RCPPParams | None = None,
     config: RunConfig | None = None,
 ) -> list[SweepPoint]:
-    explicit = config is not None or base_params is not None
-    config = resolve_run_config(config, scale=scale, params=base_params)
-    base = config.params if explicit else RCPPParams(solver_time_limit_s=300.0)
+    base = _base_params(config)
+    config = resolve_run_config(config)
     return _sweep(
         testcase_subset(testcase_ids),
         s_values,
@@ -92,15 +96,12 @@ def run_s_sweep(
 
 
 def run_alpha_sweep(
-    scale: float | None = None,
     testcase_ids: tuple[str, ...] = PARAMETER_SUBSET_IDS,
     alpha_values: tuple[float, ...] = ALPHA_VALUES,
-    base_params: RCPPParams | None = None,
     config: RunConfig | None = None,
 ) -> list[SweepPoint]:
-    explicit = config is not None or base_params is not None
-    config = resolve_run_config(config, scale=scale, params=base_params)
-    base = config.params if explicit else RCPPParams(solver_time_limit_s=300.0)
+    base = _base_params(config)
+    config = resolve_run_config(config)
     return _sweep(
         testcase_subset(testcase_ids),
         alpha_values,

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.config import RunConfig
 from repro.core.flows import FlowKind
-from repro.core.params import RCPPParams
 from repro.eval.metrics import evaluate_post_route
 from repro.eval.report import format_table
 from repro.experiments.runner import resolve_run_config, run_testcase
@@ -34,11 +33,9 @@ class OverheadResult:
 
 def run(
     testcase_ids: tuple[str, ...] = QUICK_SUBSET_IDS,
-    scale: float | None = None,
-    params: RCPPParams | None = None,
     config: RunConfig | None = None,
 ) -> OverheadResult:
-    config = resolve_run_config(config, scale=scale, params=params)
+    config = resolve_run_config(config)
     testcases: list[TestcaseSpec] = testcase_subset(testcase_ids)
     flows = (FlowKind.FLOW1, FlowKind.FLOW2, FlowKind.FLOW5)
     hpwl_over: dict[int, list[float]] = {2: [], 5: []}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.config import RunConfig
@@ -13,7 +12,6 @@ from repro.core.flows import (
     InitialPlacement,
     prepare_initial_placement,
 )
-from repro.core.params import RCPPParams
 from repro.experiments.testcases import (
     NHeightTestcaseSpec,
     TestcaseSpec,
@@ -23,7 +21,6 @@ from repro.experiments.testcases import (
 from repro.netlist.db import Design
 from repro.techlib.asap7 import TRACK_6T, make_asap7_library
 from repro.techlib.cells import StdCellLibrary
-from repro.utils.errors import ValidationError
 
 
 @dataclass
@@ -42,36 +39,9 @@ class TestcaseRun:
         return self.results[kind]
 
 
-def resolve_run_config(
-    config: RunConfig | None,
-    scale: float | None = None,
-    params: RCPPParams | None = None,
-) -> RunConfig:
-    """Fold the legacy ``scale=`` / ``params=`` keywords into a RunConfig.
-
-    The deprecation shim shared by ``run_testcase`` and the experiment
-    ``run()`` entry points: passing the old keywords still works (with a
-    ``DeprecationWarning``) but cannot be combined with ``config``.
-    """
-    if scale is None and params is None:
-        return config or RunConfig()
-    if config is not None:
-        raise ValidationError(
-            "pass either config=RunConfig(...) or the legacy scale=/params="
-            " keywords, not both"
-        )
-    warnings.warn(
-        "the scale=/params= keywords are deprecated; pass "
-        "config=RunConfig(scale=..., params=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    changes: dict[str, object] = {}
-    if scale is not None:
-        changes["scale"] = scale
-    if params is not None:
-        changes["params"] = params
-    return RunConfig(**changes)  # type: ignore[arg-type]
+def resolve_run_config(config: RunConfig | None) -> RunConfig:
+    """The run configuration of an entry point: ``config`` or the default."""
+    return config or RunConfig()
 
 
 def run_testcase(
@@ -81,18 +51,15 @@ def run_testcase(
     *,
     library: StdCellLibrary | None = None,
     initial: InitialPlacement | None = None,
-    scale: float | None = None,
-    params: RCPPParams | None = None,
 ) -> TestcaseRun:
     """Build the testcase, place it, run the requested flows.
 
     ``config`` carries scale, method parameters, resilience policy and
     floorplan knobs; ``initial`` short-circuits netlist generation and
     initial placement with a prebuilt (e.g. cache-loaded) Flow-(1)
-    artifact.  The pre-RunConfig keywords ``scale=`` / ``params=`` remain
-    as a deprecation shim.
+    artifact.
     """
-    config = resolve_run_config(config, scale=scale, params=params)
+    config = resolve_run_config(config)
     if initial is None:
         if isinstance(spec, NHeightTestcaseSpec):
             if library is None:
@@ -106,7 +73,6 @@ def run_testcase(
         initial = prepare_initial_placement(
             design,
             library,
-            minority_track=config.params.minority_track,
             utilization=config.utilization,
             aspect_ratio=config.aspect_ratio,
             heights=config.params.heights,

@@ -20,7 +20,7 @@ from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.params import RCPPParams
-from repro.core.rap import required_minority_pairs, solve_rap
+from repro.core.rap import solve_rap
 from repro.experiments.testcases import (
     DEFAULT_SCALE,
     TestcaseSpec,
@@ -127,11 +127,7 @@ def row_pairing_ablation(
             clustering.labels,
         )
 
-    n_minr = required_minority_pairs(
-        float(initial.minority_widths_original.sum()),
-        float(initial.pair_capacity.min()),
-        params.minority_fill_target,
-    )
+    n_minr = FlowRunner(initial, params).n_minority_rows
     paired = solve_at(initial.pair_center_y, initial.pair_capacity, n_minr)
 
     rows = initial.floorplan.rows

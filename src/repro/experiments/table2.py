@@ -39,10 +39,9 @@ class Table2Row:
 
 def run(
     testcases: tuple[TestcaseSpec, ...] = PAPER_TESTCASES,
-    scale: float | None = None,
     config: RunConfig | None = None,
 ) -> list[Table2Row]:
-    config = resolve_run_config(config, scale=scale)
+    config = resolve_run_config(config)
     scale = config.scale
     library = make_asap7_library()
     rows: list[Table2Row] = []

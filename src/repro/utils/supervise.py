@@ -719,13 +719,13 @@ def supervised_map(
     pool: SupervisedPool | None = None,
     **pool_kwargs: Any,
 ) -> list[R]:
-    """Drop-in :func:`repro.utils.pool.parallel_map` with supervision.
+    """Map ``fn`` over ``items`` on a supervised process pool.
 
-    Same contract — submission-order results, completion-order progress,
-    inline for ``workers <= 1`` or fewer than ``min_items`` items, the
-    first task exception re-raised — but pooled execution survives worker
-    crashes and hangs via :class:`SupervisedPool` (pass ``pool`` to reuse
-    a warm one; extra kwargs construct a private pool).
+    Submission-order results, completion-order progress, inline for
+    ``workers <= 1`` or fewer than ``min_items`` items, the first task
+    exception re-raised; pooled execution survives worker crashes and
+    hangs via :class:`SupervisedPool` (pass ``pool`` to reuse a warm one;
+    extra kwargs construct a private pool).
     """
     items = list(items)
     if (pool is None and workers <= 1) or len(items) < min_items:

@@ -1,15 +1,11 @@
-"""The public API surface: dir(repro) == docs/API.md, shims warn/raise."""
+"""The public API surface: dir(repro) == docs/API.md, config entry points."""
 
 import pathlib
 import re
 
-import pytest
-
 import repro
 from repro.core.config import RunConfig
-from repro.core.params import RCPPParams
 from repro.experiments.runner import resolve_run_config
-from repro.utils.errors import ValidationError
 
 API_MD = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
@@ -50,20 +46,6 @@ class TestSurface:
 
 
 class TestRunConfigShims:
-    def test_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning):
-            config = resolve_run_config(None, scale=0.01)
-        assert config.scale == 0.01
-        with pytest.warns(DeprecationWarning):
-            config = resolve_run_config(None, params=RCPPParams(s=0.5))
-        assert config.params.s == 0.5
-
-    def test_config_plus_legacy_keyword_raises(self):
-        with pytest.raises(ValidationError):
-            resolve_run_config(RunConfig(), scale=0.01)
-        with pytest.raises(ValidationError):
-            resolve_run_config(RunConfig(), params=RCPPParams())
-
     def test_config_passthrough_is_silent(self, recwarn):
         config = RunConfig(scale=0.02)
         assert resolve_run_config(config) is config
@@ -80,13 +62,4 @@ class TestRunConfigShims:
             testcases=table2.PAPER_TESTCASES[:1],
             config=RunConfig(scale=1.0 / 384.0),
         )
-        assert len(rows) == 1
-
-    def test_experiment_legacy_scale_warns(self):
-        from repro.experiments import table2
-
-        with pytest.warns(DeprecationWarning):
-            rows = table2.run(
-                testcases=table2.PAPER_TESTCASES[:1], scale=1.0 / 384.0
-            )
         assert len(rows) == 1

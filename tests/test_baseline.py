@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import _kmeans_1d, baseline_row_assignment
+from repro.core.heights import HeightSpec
 from repro.utils.errors import InfeasibleError, ValidationError
 
 
 def pairs(n=10, pitch=444.0):
     return np.arange(n) * pitch + pitch / 2.0
+
+
+def assign(y, w, pair_y, cap, n_rows):
+    """Two-height baseline: one 7.5T class in 6T rows."""
+    return baseline_row_assignment([y], [w], pair_y, cap, [n_rows], [7.5])
 
 
 class TestKmeans1d:
@@ -36,7 +42,7 @@ class TestBaselineAssignment:
         y = rng.uniform(0, 4440, 40)
         w = np.full(40, 100.0)
         cap = np.full(10, 4000.0)
-        a = baseline_row_assignment(y, w, pairs(), cap, n_minority_rows=3)
+        a = assign(y, w, pairs(), cap, 3)
         assert a.n_minority_rows == 3
         assert a.cell_to_pair.shape == (40,)
         assert set(np.unique(a.cell_to_pair).tolist()) <= set(
@@ -48,7 +54,7 @@ class TestBaselineAssignment:
         y = np.concatenate([np.full(10, 222.0), np.full(10, 3996.0)])
         w = np.full(20, 100.0)
         cap = np.full(10, 4000.0)
-        a = baseline_row_assignment(y, w, pairs(), cap, n_minority_rows=2)
+        a = assign(y, w, pairs(), cap, 2)
         low = set(a.cell_to_pair[:10].tolist())
         high = set(a.cell_to_pair[10:].tolist())
         assert len(low) == 1 and len(high) == 1
@@ -59,7 +65,7 @@ class TestBaselineAssignment:
         y = np.full(10, 2000.0)
         w = np.full(10, 500.0)
         cap = np.full(10, 2000.0)  # one pair holds only 4 cells
-        a = baseline_row_assignment(y, w, pairs(), cap, n_minority_rows=3)
+        a = assign(y, w, pairs(), cap, 3)
         loads = np.zeros(10)
         np.add.at(loads, a.cell_to_pair, w)
         assert (loads <= cap + 1e-9).all()
@@ -68,7 +74,9 @@ class TestBaselineAssignment:
         y = np.full(6, 1000.0)
         w = np.full(6, 500.0)
         cap = np.full(10, 1000.0)
-        a = baseline_row_assignment(y, w, pairs(), cap)
+        spec = HeightSpec.two_height(minority_fill_target=1.0)
+        budget = spec.budgets({7.5: float(w.sum())}, float(cap.min()))[7.5]
+        a = assign(y, w, pairs(), cap, budget)
         assert a.n_minority_rows == 3
 
     def test_infeasible_when_rows_exhausted(self):
@@ -76,21 +84,17 @@ class TestBaselineAssignment:
         w = np.full(4, 600.0)
         cap = np.full(2, 1000.0)
         with pytest.raises(InfeasibleError):
-            baseline_row_assignment(
-                y, w, pairs(2), cap, n_minority_rows=4
-            )
+            assign(y, w, pairs(2), cap, 4)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            baseline_row_assignment(
-                np.zeros(0), np.zeros(0), pairs(), np.full(10, 1.0)
-            )
+            assign(np.zeros(0), np.zeros(0), pairs(), np.full(10, 1.0), 1)
 
     def test_pair_tracks(self):
         y = np.full(4, 1000.0)
         w = np.full(4, 100.0)
         cap = np.full(10, 4000.0)
-        a = baseline_row_assignment(y, w, pairs(), cap, n_minority_rows=1)
+        a = assign(y, w, pairs(), cap, 1)
         assert a.pair_tracks.count(7.5) == 1
         assert a.pair_tracks.count(6.0) == 9
 
@@ -99,15 +103,13 @@ class TestBaselineAssignment:
         y = rng.uniform(0, 4000, 30)
         w = rng.uniform(50, 200, 30)
         cap = np.full(10, 4000.0)
-        a = baseline_row_assignment(y, w, pairs(), cap, n_minority_rows=3)
-        b = baseline_row_assignment(y, w, pairs(), cap, n_minority_rows=3)
+        a = assign(y, w, pairs(), cap, 3)
+        b = assign(y, w, pairs(), cap, 3)
         assert np.array_equal(a.cell_to_pair, b.cell_to_pair)
 
     def test_no_ilp_metadata(self):
         y = np.full(4, 1000.0)
         w = np.full(4, 100.0)
-        a = baseline_row_assignment(
-            y, w, pairs(), np.full(10, 4000.0), n_minority_rows=1
-        )
+        a = assign(y, w, pairs(), np.full(10, 4000.0), 1)
         assert a.num_variables == 0
         assert np.isnan(a.objective)

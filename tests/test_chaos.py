@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RunConfig
-from repro.core.rap import solve_rap_resilient
+from repro.core.heights import solve_rap_resilient
 from repro.experiments.sweep_engine import run_sweep, sweep_fingerprint
 from repro.utils.errors import ValidationError
 from repro.utils.resilience import (
@@ -51,11 +51,12 @@ def _rap_instance(seed, n_clusters=6, n_pairs=4, n_cells=18):
     pair_capacity = np.full(n_pairs, cluster_width.sum())
     labels = rng.integers(0, n_clusters, n_cells)
     return dict(
-        f=f,
-        cluster_width=cluster_width,
+        f_by_class=[f],
+        width_by_class=[cluster_width],
         pair_capacity=pair_capacity,
-        n_minority_rows=2,
-        labels=labels,
+        budgets=[2],
+        labels_by_class=[labels],
+        minority_tracks=[7.5],
     )
 
 
@@ -159,7 +160,7 @@ class TestShmChaos:
     def _leak_oracle(self, monkeypatch):
         from repro.placement.shm import active_repro_segments
 
-        monkeypatch.setattr("repro.core.rap.SHM_MIN_BYTES", 0)
+        monkeypatch.setattr("repro.core.heights.SHM_MIN_BYTES", 0)
         assert active_repro_segments() == []
         yield
         assert active_repro_segments() == [], "leaked shm segments"
@@ -261,7 +262,7 @@ class TestEventBusChaos:
     def test_crash_mid_attach_census_sees_no_leak(self, monkeypatch):
         from repro.placement.shm import active_repro_segments
 
-        monkeypatch.setattr("repro.core.rap.SHM_MIN_BYTES", 0)
+        monkeypatch.setattr("repro.core.heights.SHM_MIN_BYTES", 0)
         instance = _rap_instance(33)
         plan = FaultPlan().fail(
             "shm.attach", kind="worker_crash", on_attempt=1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import RunConfig
 from repro.core.flows import FlowKind
 from repro.experiments import PAPER_TESTCASES, build_testcase
 from repro.experiments.testcases import testcase_subset as _subset
@@ -21,6 +22,7 @@ from repro.experiments.testcases import testcase_by_id as _by_id
 from repro.utils.errors import ValidationError
 
 TINY = 1.0 / 96.0  # tiny scale keeps these integration tests quick
+TINY_CONFIG = RunConfig(scale=TINY)
 
 
 class TestTestcaseSuite:
@@ -85,18 +87,20 @@ class TestPaperData:
 class TestRunners:
     def test_run_testcase_caches_flows(self, library):
         spec = _by_id("aes_400")
-        tc = run_testcase(spec, (FlowKind.FLOW1,), scale=TINY, library=library)
+        tc = run_testcase(
+            spec, (FlowKind.FLOW1,), config=TINY_CONFIG, library=library
+        )
         first = tc.run(FlowKind.FLOW1)
         assert tc.run(FlowKind.FLOW1) is first
 
     def test_table2_rows(self, library):
-        rows = table2.run(testcases=(_by_id("aes_400"),), scale=TINY)
+        rows = table2.run(testcases=(_by_id("aes_400"),), config=TINY_CONFIG)
         assert len(rows) == 1
         assert rows[0].cells_ratio == pytest.approx(1.0, abs=0.01)
 
     def test_table4_small_run(self):
         result = table4.run(
-            testcases=(_by_id("aes_400"),), scale=TINY
+            testcases=(_by_id("aes_400"),), config=TINY_CONFIG
         )
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -108,7 +112,7 @@ class TestRunners:
     def test_fig5_fit_runs(self):
         result = fig5.run(
             testcases=tuple(_subset(("aes_400", "aes_300", "des3_210"))),
-            scale=TINY,
+            config=TINY_CONFIG,
         )
         assert len(result.points) == 3
         assert np.isfinite(result.slope_s_per_instance)
@@ -140,7 +144,9 @@ class TestMoreExperimentRunners:
     def test_table5_small_run(self):
         from repro.experiments import table5
 
-        result = table5.run(testcases=(_by_id("aes_400"),), scale=TINY)
+        result = table5.run(
+            testcases=(_by_id("aes_400"),), config=TINY_CONFIG
+        )
         assert len(result.rows) == 1
         row = result.rows[0]
         assert set(row.wirelength) == {1, 2, 4, 5}
@@ -152,7 +158,8 @@ class TestMoreExperimentRunners:
         from repro.experiments import profile_runtime
 
         result = profile_runtime.run(
-            testcases=tuple(_subset(("aes_400", "des3_210"))), scale=TINY
+            testcases=tuple(_subset(("aes_400", "des3_210"))),
+            config=TINY_CONFIG,
         )
         assert len(result.rows) == 2
         for row in result.rows:
@@ -162,7 +169,7 @@ class TestMoreExperimentRunners:
     def test_overhead_small_run(self):
         from repro.experiments import overhead
 
-        result = overhead.run(testcase_ids=("aes_400",), scale=TINY)
+        result = overhead.run(testcase_ids=("aes_400",), config=TINY_CONFIG)
         assert set(result.post_place_hpwl) == {2, 5}
         assert set(result.post_route_wirelength) == {2, 5}
 
@@ -170,7 +177,9 @@ class TestMoreExperimentRunners:
         from repro.experiments import fig4
 
         points = fig4.run_alpha_sweep(
-            scale=TINY, testcase_ids=("aes_400",), alpha_values=(0.0, 1.0)
+            config=TINY_CONFIG,
+            testcase_ids=("aes_400",),
+            alpha_values=(0.0, 1.0),
         )
         assert [p.value for p in points] == [0.0, 1.0]
         for p in points:
@@ -181,7 +190,7 @@ class TestMoreExperimentRunners:
         from repro.experiments import clustering_impact
 
         points = clustering_impact.run(
-            testcase_ids=("des3_210",), scale=TINY, s_values=(0.2,)
+            testcase_ids=("des3_210",), config=TINY_CONFIG, s_values=(0.2,)
         )
         assert len(points) == 1
         assert points[0].s == 0.2

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.baseline import baseline_row_assignment
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
+from repro.core.heights import HeightSpec
 from repro.core.params import RCPPParams
 from repro.core.rap import build_rap_model, solve_rap
 from repro.netlist.generator import GeneratorSpec, generate_netlist
@@ -106,7 +107,10 @@ class TestDegenerateDesigns:
         )
         initial = prepare_initial_placement(design, library)
         runner = FlowRunner(
-            initial, RCPPParams(minority_fill_target=0.65)
+            initial,
+            RCPPParams(
+                heights=HeightSpec.two_height(minority_fill_target=0.65)
+            ),
         )
         try:
             result = runner.run(FlowKind.FLOW4)
@@ -122,11 +126,12 @@ class TestDegenerateDesigns:
 
     def test_baseline_single_pair(self):
         a = baseline_row_assignment(
-            np.array([100.0, 200.0]),
-            np.array([54.0, 54.0]),
+            [np.array([100.0, 200.0])],
+            [np.array([54.0, 54.0])],
             np.array([150.0]),
             np.array([10_000.0]),
-            n_minority_rows=1,
+            [1],
+            [7.5],
         )
         assert a.n_minority_rows == 1
         assert set(a.cell_to_pair.tolist()) == {0}
@@ -164,7 +169,10 @@ class TestMisuse:
         """A failed flow must not poison the runner's caches."""
         design = make_design(library, n_cells=300, minority_fraction=0.15, seed=54)
         initial = prepare_initial_placement(design, library)
-        bad = FlowRunner(initial, RCPPParams(n_minority_rows=10_000))
+        bad = FlowRunner(
+            initial,
+            RCPPParams(heights=HeightSpec.two_height(n_minority_rows=10_000)),
+        )
         with pytest.raises(ReproError):
             bad.run(FlowKind.FLOW4)
         good = FlowRunner(initial, RCPPParams())

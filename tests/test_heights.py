@@ -1,18 +1,15 @@
 """HeightSpec API + N-height RAP: bit-identity with the two-height core.
 
-The generalization's contract has three layers:
+The generalization's contract has two layers:
 
-* a two-entry :class:`HeightSpec` is the *same computation* as the legacy
-  minority/majority keywords — same models, same solver calls, same
-  assignments, HPWL and provenance, bit for bit;
-* the legacy keywords keep working through deprecation shims (warn,
-  conflict-check, serialize);
+* a two-entry :class:`HeightSpec` is the *same computation* as the
+  default ``heights=None`` setting and as the two-height engine — same
+  models, same solver calls, same assignments, HPWL and provenance, bit
+  for bit;
 * N >= 3 instances solve through the joint height-indexed model with a
   reduced-cost certificate, and fall back to simulated annealing when
   every MILP rung fails.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -24,15 +21,22 @@ from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.heights import (
     HeightClass,
     HeightSpec,
+    _build_restricted_nheight,
     anneal_nheight,
     build_nheight_rap_model,
     greedy_nheight,
     solve_rap_nheight,
-    solve_rap_nheight_resilient,
+    solve_rap_resilient,
     validate_nheight_inputs,
 )
 from repro.core.params import RCPPParams
-from repro.core.rap import build_rap_model, required_minority_pairs
+from repro.core.rap import (
+    RowAssignment,
+    assignment_to_vector,
+    build_rap_model,
+    dense_assignment,
+    required_minority_pairs,
+)
 from repro.core.sparse_rap import solve_rap_sparse
 from repro.solvers.milp import solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
@@ -151,19 +155,6 @@ class TestHeightSpecSerde:
         config = RunConfig(params=RCPPParams(heights=spec))
         rebuilt = RunConfig.from_dict(config.to_dict())
         assert rebuilt.params.heights == spec
-
-    def test_run_config_round_trip_legacy_silent(self, recwarn):
-        with pytest.warns(DeprecationWarning):
-            config = RunConfig(params=RCPPParams(minority_fill_target=0.7))
-        before = len(
-            [w for w in recwarn.list if w.category is DeprecationWarning]
-        )
-        rebuilt = RunConfig.from_dict(config.to_dict())
-        after = len(
-            [w for w in recwarn.list if w.category is DeprecationWarning]
-        )
-        assert after == before  # round trip must not re-warn
-        assert rebuilt.params.minority_fill_target == 0.7
 
     def test_fingerprint_stable_without_heights(self):
         # Legacy configs must keep their pre-HeightSpec cache hashes.
@@ -334,7 +325,7 @@ class TestResilientNHeight:
     def test_healthy_run_is_exact(self):
         f_by_class, w_by_class, cap, budgets, labels = self._instance()
         prov = FlowProvenance()
-        result = solve_rap_nheight_resilient(
+        result = solve_rap_resilient(
             f_by_class, w_by_class, cap, budgets, labels,
             minority_tracks=[7.5, 9.0], provenance=prov,
         )
@@ -350,7 +341,7 @@ class TestResilientNHeight:
             fault_plan=plan, retry=RetryPolicy(max_attempts=1)
         )
         prov = FlowProvenance()
-        result = solve_rap_nheight_resilient(
+        result = solve_rap_resilient(
             f_by_class, w_by_class, cap, budgets, labels,
             minority_tracks=[7.5, 9.0], policy=policy, provenance=prov,
         )
@@ -360,24 +351,42 @@ class TestResilientNHeight:
         failed = {a.stage for a in prov.attempts if not a.ok}
         assert {"rap.highs", "rap.bnb"} <= failed
 
-    def test_k1_delegates_to_legacy_chain(self):
-        rng = np.random.default_rng(31)
-        f = rng.uniform(0, 100, size=(3, 5))
-        w = rng.uniform(1, 3, size=3)
-        cap = np.full(5, w.sum() + 2.0)
-        labels = np.arange(3).repeat(2)
-        from repro.core.rap import solve_rap_resilient
 
-        legacy = solve_rap_resilient(
-            f, w, cap, 2, labels, minority_track=7.5
+class TestDecoderRejectsUnassigned:
+    """A solution vector leaving a cluster unassigned decodes to ``-1``,
+    and :meth:`RowAssignment.from_classes` refuses it for every K."""
+
+    @staticmethod
+    def _by_track(maps, tracks):
+        # One cell per cluster: labels are the identity.
+        return {t: (a, a[np.arange(len(a))]) for t, a in zip(tracks, maps)}
+
+    def test_k1(self):
+        x = assignment_to_vector(np.array([0, 2, 2]), 3, 4)
+        x[4:8] = 0.0  # cluster 1 loses its pair
+        cluster_to_pair = dense_assignment(x, 3, 4)
+        assert cluster_to_pair.tolist() == [0, -1, 2]
+        with pytest.raises(InfeasibleError):
+            RowAssignment.from_classes(
+                self._by_track([cluster_to_pair], [7.5]), 6.0, 4, 0.0
+            )
+
+    def test_k2(self):
+        f_by_class, w_by_class, cap, budgets = random_joint_instance(5)
+        masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
+        srm = _build_restricted_nheight(
+            f_by_class, w_by_class, cap, budgets, masks
         )
-        joint = solve_rap_nheight_resilient(
-            [f], [w], cap, [2], [labels], minority_tracks=[7.5]
+        x = srm.encode_assignment(
+            greedy_nheight(f_by_class, w_by_class, cap, budgets)
         )
-        assert joint.objective == legacy.objective
-        assert np.array_equal(joint.cluster_to_pair, legacy.cluster_to_pair)
-        assert np.array_equal(joint.cell_to_pair, legacy.cell_to_pair)
-        assert joint.pair_tracks == legacy.pair_tracks
+        x[np.flatnonzero(srm.cand_cluster[0] == 0)] = 0.0
+        maps = srm.assignment_of(x)
+        assert maps[0][0] == -1
+        with pytest.raises(InfeasibleError):
+            RowAssignment.from_classes(
+                self._by_track(maps, [7.5, 9.0]), 6.0, len(cap), 0.0
+            )
 
 
 class TestParamsShims:
@@ -387,53 +396,16 @@ class TestParamsShims:
             w for w in recwarn.list if w.category is DeprecationWarning
         ] == []
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"minority_track": 9.0},
-            {"minority_fill_target": 0.7},
-            {"n_minority_rows": 4},
-        ],
-    )
-    def test_legacy_keywords_warn(self, kwargs):
-        with pytest.warns(DeprecationWarning):
-            params = RCPPParams(**kwargs)
-        for key, value in kwargs.items():
-            assert getattr(params, key) == value
-
-    def test_heights_plus_legacy_raises(self):
-        with pytest.raises(ValidationError):
-            RCPPParams(
-                heights=HeightSpec.two_height(), minority_track=9.0
-            )
-
-    def test_resolved_heights_from_legacy(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            params = RCPPParams(
-                minority_track=7.5,
-                n_minority_rows=6,
-                minority_fill_target=0.8,
-            )
-        spec = params.resolved_heights()
-        assert spec == HeightSpec.two_height(
-            minority_track=7.5, n_minority_rows=6, minority_fill_target=0.8
-        )
-
-    def test_resolved_heights_prefers_explicit_spec(self):
-        spec = HeightSpec(6.0, (HeightClass(9.0),))
-        assert RCPPParams(heights=spec).resolved_heights() is spec
-
 
 @pytest.fixture(scope="module")
 def twin_designs(library):
-    """Two identical designs (same seed) for legacy-vs-spec comparison."""
+    """Two identical designs (same seed) for default-vs-spec comparison."""
     kw = dict(n_cells=420, minority_fraction=0.18, seed=12)
     return make_design(library, **kw), make_design(library, **kw)
 
 
 class TestFlowBitIdentity:
-    """A two-entry HeightSpec reproduces the legacy flows bit for bit."""
+    """``heights=None`` runs the explicit two-entry spec, bit for bit."""
 
     @pytest.fixture(scope="class")
     def flow_pairs(self, twin_designs, library):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import RunConfig
-from repro.core.rap import _race_rung_job
+from repro.core.heights import _race_rung_job
 from repro.core.sparse_rap import _solve_component_job
 from repro.experiments.sweep_engine import run_sweep
 from repro.geometry import Rect
@@ -201,16 +201,17 @@ class TestPayloadBudget:
         f = rng.uniform(1.0, 10.0, (1500, 900))  # ~10 MB at giga tier
         w = rng.uniform(1.0, 2.0, 1500)
         cap = np.full(900, w.sum())
-        with publish_arrays({"f": f, "w": w, "cap": cap}) as pub:
+        with publish_arrays({"f0": f, "w0": w, "cap": cap}) as pub:
             item = {
                 "rung": "highs",
                 "shm": pub.handle,
-                "n_rows": 64,
+                "budgets": [64],
                 "time_limit_s": None,
                 "warm": None,
                 "candidate_k": 24,
                 "sparse": True,
                 "cancel": None,
+                "sa_seed": 17,
             }
             assert len(pickle.dumps(item)) <= MAX_PAYLOAD_BYTES
 
@@ -223,15 +224,15 @@ class TestRaceRungShm:
         cap = np.full(4, w.sum())
         base = {
             "rung": "highs",
-            "n_rows": 2,
+            "budgets": [2],
             "time_limit_s": None,
             "warm": None,
             "candidate_k": None,
             "sparse": False,
             "cancel": None,
         }
-        inline = _race_rung_job({**base, "f": f, "w": w, "cap": cap})
-        with publish_arrays({"f": f, "w": w, "cap": cap}) as pub:
+        inline = _race_rung_job({**base, "f_by": [f], "w_by": [w], "cap": cap})
+        with publish_arrays({"f0": f, "w0": w, "cap": cap}) as pub:
             shared = _race_rung_job({**base, "shm": pub.handle})
         assert active_repro_segments() == []
         assert shared["rung"] == inline["rung"]

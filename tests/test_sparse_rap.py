@@ -24,8 +24,8 @@ from repro.core.params import RCPPParams
 from repro.core.rap import (
     build_rap_model,
     solve_rap,
-    solve_rap_resilient,
 )
+from repro.core.heights import solve_rap_resilient
 from repro.core.sparse_rap import (
     adaptive_candidate_count,
     build_sparse_rap_model,
@@ -344,11 +344,13 @@ class TestWarmStarts:
     def test_resilient_accepts_prior(self):
         f, w, cap, n_minr = random_instance(23)
         labels = np.arange(f.shape[0])
-        first = solve_rap_resilient(f, w, cap, n_minr, labels, row_fill=1.0)
+        first = solve_rap_resilient(
+            [f], [w], cap, [n_minr], [labels], [7.5], row_fill=1.0
+        )
         assert first is not None
         again = solve_rap_resilient(
-            f, w, cap, n_minr, labels, row_fill=1.0,
-            warm_assignment=first.cluster_to_pair,
+            [f], [w], cap, [n_minr], [labels], [7.5], row_fill=1.0,
+            warm_assignment=[first.cluster_to_pair],
         )
         assert again is not None
         assert again.objective == pytest.approx(first.objective, abs=1e-6)
@@ -436,8 +438,7 @@ class TestSweepSetEquivalence:
     def test_sparse_matches_dense(self, testcase_id):
         from repro.core.clustering import cluster_minority_cells
         from repro.core.cost import compute_rap_costs
-        from repro.core.flows import prepare_initial_placement
-        from repro.core.rap import required_minority_pairs
+        from repro.core.flows import FlowRunner, prepare_initial_placement
         from repro.experiments.testcases import build_testcase, testcase_by_id
         from repro.techlib.asap7 import make_asap7_library
 
@@ -466,11 +467,7 @@ class TestSweepSetEquivalence:
         )
         f = costs.combine(params.alpha)
         cap = init.pair_capacity * params.row_fill
-        n_minr = required_minority_pairs(
-            float(init.minority_widths_original.sum()),
-            float(init.pair_capacity.min()),
-            params.minority_fill_target,
-        )
+        n_minr = FlowRunner(init, params).n_minority_rows
         dense = solve_milp(
             build_rap_model(f, costs.cluster_width, cap, n_minr),
             backend="highs",

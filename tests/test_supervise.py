@@ -311,7 +311,7 @@ class TestDeadlineEdges:
         # accumulated so far attached.
         import numpy as np
 
-        from repro.core.rap import solve_rap_resilient
+        from repro.core.heights import solve_rap_resilient
         from repro.utils.errors import SolverError
         from repro.utils.resilience import (
             FlowProvenance,
@@ -339,7 +339,7 @@ class TestDeadlineEdges:
         prov = FlowProvenance()
         with pytest.raises(StageTimeoutError) as excinfo:
             solve_rap_resilient(
-                f, w, cap, 2, labels,
+                [f], [w], cap, [2], [labels], [7.5],
                 policy=policy, deadline=deadline, provenance=prov,
             )
         # Attempt 1 failed (fault), backoff pushed the clock past the
