@@ -10,7 +10,7 @@ import pytest
 from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
 from repro.core.flows import prepare_initial_placement
-from repro.core.rap import build_rap_model, solve_rap
+from repro.core.rap import build_rap_model
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
 from repro.placement.floorplanner import build_placed_design, make_floorplan

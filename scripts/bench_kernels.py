@@ -236,8 +236,8 @@ def bench_rap(library, repeats):
     sparse_solution = [None]
 
     def run_sparse():
-        sparse_solution[0], sparse_stats[0] = solve_rap_sparse(
-            f, w, cap, n_minr, backend="highs"
+        sparse_solution[0], _, sparse_stats[0] = solve_rap_sparse(
+            [f], [w], cap, [n_minr], backend="highs"
         )
 
     dense_seconds = best_of(run_dense, repeats)
@@ -369,7 +369,7 @@ def nheight_instance():
 
 def bench_nheight(repeats):
     """Joint N=3 solve: height-indexed sparse engine vs dense model."""
-    from repro.core.heights import build_nheight_rap_model, solve_rap_nheight
+    from repro.core.sparse_rap import build_sparse_rap_model, solve_rap_sparse
     from repro.solvers.milp import solve_milp
 
     f_by, w_by, cap, budget_list, tracks, n_cells = nheight_instance()
@@ -378,7 +378,7 @@ def bench_nheight(repeats):
 
     def run_dense():
         t0 = time.perf_counter()
-        model = build_nheight_rap_model(f_by, w_by, cap, budget_list)
+        model = build_sparse_rap_model(f_by, w_by, cap, budget_list).model
         dense_build[0] = time.perf_counter() - t0
         dense_solution[0] = solve_milp(model, backend="highs")
 
@@ -388,7 +388,7 @@ def bench_nheight(repeats):
 
     def run_sparse():
         sparse_solution[0], sparse_assignment[0], sparse_stats[0] = (
-            solve_rap_nheight(f_by, w_by, cap, budget_list, backend="highs")
+            solve_rap_sparse(f_by, w_by, cap, budget_list, backend="highs")
         )
 
     dense_seconds = best_of(run_dense, repeats)

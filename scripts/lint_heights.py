@@ -48,9 +48,8 @@ BASELINE: dict[str, int] = {
     "core/config.py": 1,
     "core/fence.py": 3,
     "core/flows.py": 22,
-    "core/rap.py": 18,
+    "core/rap.py": 8,
     "core/region.py": 5,
-    "core/sparse_rap.py": 37,
     "core/swap.py": 2,
     "eval/visualize.py": 2,
     "experiments/sensitivity.py": 1,

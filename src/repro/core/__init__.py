@@ -14,14 +14,12 @@ from repro.core.heights import (
     HeightClass,
     HeightSpec,
     anneal_nheight,
-    build_nheight_rap_model,
     greedy_nheight,
-    solve_rap_nheight,
     solve_rap_resilient,
 )
 from repro.core.clustering import ClusteringResult, cluster_minority_cells, kmeans_2d
 from repro.core.cost import RapCosts, compute_rap_costs
-from repro.core.rap import RowAssignment, build_rap_model, solve_rap
+from repro.core.rap import RowAssignment, build_rap_model
 from repro.core.sparse_rap import (
     SparseRapModel,
     SparseSolveStats,
@@ -46,9 +44,7 @@ __all__ = [
     "HeightClass",
     "HeightSpec",
     "anneal_nheight",
-    "build_nheight_rap_model",
     "greedy_nheight",
-    "solve_rap_nheight",
     "solve_rap_resilient",
     "ClusteringResult",
     "cluster_minority_cells",
@@ -57,7 +53,6 @@ __all__ = [
     "compute_rap_costs",
     "RowAssignment",
     "build_rap_model",
-    "solve_rap",
     "SparseRapModel",
     "SparseSolveStats",
     "adaptive_candidate_count",

@@ -28,15 +28,12 @@ import numpy as np
 from repro.core.baseline import baseline_row_assignment
 from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
-from repro.core.heights import (
-    HeightSpec,
-    build_nheight_rap_model,
-    solve_rap_resilient,
-)
+from repro.core.heights import HeightSpec, solve_rap_resilient
 from repro.core.legalize_abacus_rc import abacus_rc_legalize
 from repro.core.legalize_rc import fence_region_legalize
 from repro.core.params import RCPPParams
 from repro.core.rap import RowAssignment
+from repro.core.sparse_rap import build_sparse_rap_model
 from repro.netlist.db import Design
 from repro.obs.recorder import record_qor, recording
 from repro.obs.trace import span
@@ -583,12 +580,12 @@ class FlowRunner:
         instance with every MILP backend for convergence telemetry.
         """
         f_by, w_by, _ = self._cluster_costs()
-        return build_nheight_rap_model(
+        return build_sparse_rap_model(
             f_by,
             w_by,
             self.initial.pair_capacity * self.params.row_fill,
             self._budgets(),
-        )
+        ).model
 
     def _baseline_rung(
         self, prov: FlowProvenance, deadline: Deadline

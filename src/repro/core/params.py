@@ -60,8 +60,8 @@ class RCPPParams:
     * ``rap_workers`` is the RAP's process budget.  At 1 everything runs
       in-process.  Above 1 the resilient solve *races* its backend rungs
       concurrently on a supervised pool (first certified answer wins —
-      see :func:`repro.core.heights.solve_rap_resilient`); plain
-      ``solve_rap`` calls instead spend the workers on decomposed
+      see :func:`repro.core.heights.solve_rap_resilient`); direct
+      ``solve_rap_sparse`` calls instead spend the workers on decomposed
       component sub-solves.
     """
 

@@ -1,4 +1,4 @@
-"""Row Assignment Problem: ILP formulation (paper Eqs. 1-5) and solving.
+"""Row Assignment Problem: the reference ILP (paper Eqs. 1-5) and its result.
 
 Variables: ``x_cr`` (cluster c assigned to row pair r) and the row
 indicators ``y_r`` that linearize Eq. (5)'s ``max_c x_cr``:
@@ -10,8 +10,10 @@ indicators ``y_r`` that linearize Eq. (5)'s ``max_c x_cr``:
 * sum_r y_r = N_minR                                   (Eq. 5)
 
 "Row" everywhere means a *pair* of physical rows (N-well sharing rule).
-A greedy assignment heuristic is included as warm start / ablation
-reference.
+:func:`build_rap_model` is the literal one-class model; solves run
+through :func:`~repro.core.sparse_rap.solve_rap_sparse`, the
+class-indexed engine.  A greedy assignment heuristic is included as warm
+start / ablation reference.
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.sparse_rap import solve_rap_sparse, validate_rap_inputs
-from repro.solvers.milp import MilpModel, MilpSolution, solve_milp
+from repro.solvers.milp import MilpModel
 from repro.utils.errors import InfeasibleError, ValidationError
+
+# The benchmark's layer tracer (perfbench/layers.py) patches ``solve_milp``
+# on this module; it is imported only so that table still resolves (RAP
+# solves run in repro.core.sparse_rap).  A later benchmark change can
+# drop it.
+from repro.solvers.milp import solve_milp  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -138,6 +145,47 @@ def required_minority_pairs(
     return max(1, int(np.ceil(minority_width_total / usable)))
 
 
+def validate_rap_inputs(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+) -> tuple[list[int], int]:
+    """Shared input validation of the RAP builders and solvers.
+
+    Returns ``(per-class cluster counts, n_pairs)``.
+    """
+    if not f_by_class:
+        raise ValidationError("need at least one height class")
+    if not (len(f_by_class) == len(width_by_class) == len(budgets)):
+        raise ValidationError("per-class inputs must align")
+    n_p = f_by_class[0].shape[1]
+    if pair_capacity.shape != (n_p,):
+        raise ValidationError("pair_capacity shape mismatch")
+    n_cs: list[int] = []
+    for h, (f, w, budget) in enumerate(
+        zip(f_by_class, width_by_class, budgets)
+    ):
+        n_c, n_p_h = f.shape
+        if n_p_h != n_p:
+            raise ValidationError(
+                f"class {h}: cost matrix pair-count mismatch"
+            )
+        if w.shape != (n_c,):
+            raise ValidationError(f"class {h}: cluster_width shape mismatch")
+        if not (1 <= budget <= n_p):
+            raise InfeasibleError(
+                f"class {h}: budget {budget} outside [1, {n_p}] "
+                f"(must open between 1 and all {n_p} row pairs)"
+            )
+        n_cs.append(n_c)
+    if sum(budgets) > n_p:
+        raise InfeasibleError(
+            f"row budgets {budgets} total {sum(budgets)} > {n_p} pairs"
+        )
+    return n_cs, n_p
+
+
 def build_rap_model(
     f: np.ndarray,
     cluster_width: np.ndarray,
@@ -149,9 +197,8 @@ def build_rap_model(
     Variable layout: ``x`` flattened row-major (cluster-major) first, then
     the ``y_r`` indicators.
     """
-    n_c, n_p = validate_rap_inputs(
-        f, cluster_width, pair_capacity, n_minority_rows
-    )
+    validate_rap_inputs([f], [cluster_width], pair_capacity, [n_minority_rows])
+    n_c, n_p = f.shape
     n_x = n_c * n_p
     n_vars = n_x + n_p
     c = np.concatenate([f.ravel(), np.zeros(n_p)])
@@ -287,29 +334,6 @@ def dense_assignment(
     return assignment
 
 
-def solution_to_assignment(
-    solution: MilpSolution,
-    n_clusters: int,
-    n_pairs: int,
-    labels: np.ndarray,
-    majority_track: float,
-    minority_track: float,
-) -> RowAssignment:
-    """Decode a two-height MILP solution vector into a :class:`RowAssignment`."""
-    if not solution.ok or solution.x is None:
-        raise InfeasibleError(f"RAP solve failed: {solution.status}")
-    cluster_to_pair = dense_assignment(solution.x, n_clusters, n_pairs)
-    return RowAssignment.from_classes(
-        {minority_track: (cluster_to_pair, cluster_to_pair[labels])},
-        majority_track,
-        n_pairs,
-        objective=solution.objective,
-        ilp_runtime_s=solution.runtime_s,
-        num_variables=n_clusters * n_pairs + n_pairs,
-        solver_nodes=solution.nodes,
-    )
-
-
 def repair_assignment(
     base: RowAssignment,
     cluster_to_pair: np.ndarray,
@@ -327,7 +351,7 @@ def repair_assignment(
     the repair vacated, which stays a minority pair so the mixed
     floorplan (and every clean cell's row) is unchanged.  Recomputing
     the open-pair set from the new ``cluster_to_pair`` (what
-    :func:`solution_to_assignment` does) would silently unfreeze the
+    :meth:`RowAssignment.from_classes` does) would silently unfreeze the
     row map; this constructor makes the frozen semantics explicit.
     """
     cluster_to_pair = np.asarray(cluster_to_pair, dtype=int)
@@ -350,83 +374,4 @@ def repair_assignment(
         num_variables=base.num_variables,
         solver_nodes=solver_nodes,
         classes=base.classes,
-    )
-
-
-def assignment_to_vector(
-    assignment: np.ndarray, n_clusters: int, n_pairs: int
-) -> np.ndarray:
-    """Encode a cluster->pair map as a full (x, y) MILP variable vector."""
-    x = np.zeros(n_clusters * n_pairs)
-    y = np.zeros(n_pairs)
-    for c, p in enumerate(assignment):
-        x[c * n_pairs + int(p)] = 1.0
-        y[int(p)] = 1.0
-    return np.concatenate([x, y])
-
-
-def solve_rap(
-    f: np.ndarray,
-    cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_minority_rows: int,
-    labels: np.ndarray,
-    majority_track: float = 6.0,
-    minority_track: float = 7.5,
-    backend: str = "highs",
-    time_limit_s: float | None = None,
-    sparse: bool = False,
-    candidate_k: int | None = None,
-    workers: int = 1,
-) -> RowAssignment:
-    """Build and solve the RAP; returns the decoded assignment.
-
-    The own branch-and-bound backend is seeded with the greedy warm start
-    (when it exists and opens exactly N_minR rows), which prunes most of
-    the search tree on typical instances.  ``sparse=True`` routes through
-    :func:`repro.core.sparse_rap.solve_rap_sparse` (column pruning +
-    pricing repair + component decomposition); ``candidate_k`` /
-    ``workers`` tune that engine and are ignored on the dense path.
-    """
-    if sparse:
-        warm = (
-            greedy_rap(f, cluster_width, pair_capacity, n_minority_rows)
-            if backend == "bnb"
-            else None
-        )
-        solution, _ = solve_rap_sparse(
-            f,
-            cluster_width,
-            pair_capacity,
-            n_minority_rows,
-            backend=backend,
-            time_limit_s=time_limit_s,
-            warm_assignment=warm,
-            candidate_k=candidate_k,
-            workers=workers,
-        )
-    else:
-        model = build_rap_model(
-            f, cluster_width, pair_capacity, n_minority_rows
-        )
-        warm_vector = None
-        if backend == "bnb":
-            warm = greedy_rap(
-                f, cluster_width, pair_capacity, n_minority_rows
-            )
-            if warm is not None:
-                candidate = assignment_to_vector(warm, *f.shape)
-                if model.is_feasible(candidate):
-                    warm_vector = candidate
-        solution = solve_milp(
-            model, backend=backend, time_limit_s=time_limit_s,
-            warm_start=warm_vector,
-        )
-    return solution_to_assignment(
-        solution,
-        n_clusters=f.shape[0],
-        n_pairs=f.shape[1],
-        labels=labels,
-        majority_track=majority_track,
-        minority_track=minority_track,
     )

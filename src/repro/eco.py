@@ -747,7 +747,6 @@ def _repair_classes(runner, base, labels_by, app):
     cannot certify equality with its row-frozen subproblem optimum.
     """
     from repro.core.cost import compute_rap_costs
-    from repro.core.rap import dense_assignment
     from repro.core.sparse_rap import solve_rap_sparse
 
     init = runner.initial
@@ -774,18 +773,16 @@ def _repair_classes(runner, base, labels_by, app):
         if len(dirty) == 0:
             new = warm
         else:
-            solution, stats = solve_rap_sparse(
-                f,
-                costs.cluster_width,
+            solution, maps, stats = solve_rap_sparse(
+                [f],
+                [costs.cluster_width],
                 cap,
-                len(np.unique(warm)),
-                params.solver_backend,
-                params.solver_time_limit_s,
-                warm,
-                None,
-                params.rap_workers,
-                None,
-                dirty,
+                [len(np.unique(warm))],
+                backend=params.solver_backend,
+                time_limit_s=params.solver_time_limit_s,
+                warm_assignment=[warm],
+                workers=params.rap_workers,
+                dirty_clusters=[dirty],
             )
             if stats.strategy != "eco-repair":
                 # The engine rejected the incremental path (incumbent
@@ -797,7 +794,7 @@ def _repair_classes(runner, base, labels_by, app):
                     f"restricted repair unavailable for {track:g}T "
                     f"(engine ran {stats.strategy or 'nothing'})"
                 )
-            if not solution.ok or solution.x is None:
+            if maps is None:
                 raise _EcoFallback(
                     f"restricted repair failed for {track:g}T "
                     f"({solution.status.value})"
@@ -806,9 +803,7 @@ def _repair_classes(runner, base, labels_by, app):
                 raise _EcoFallback(
                     f"restricted repair uncertified for {track:g}T"
                 )
-            new = dense_assignment(
-                solution.x, n_clusters, len(init.pair_capacity)
-            )
+            new = maps[0]
         objective += float(f[np.arange(n_clusters), new].sum())
         moved_by.append(np.flatnonzero(new != warm))
         parts_c2p.append(new)

@@ -20,7 +20,7 @@ from repro.core.clustering import cluster_minority_cells
 from repro.core.cost import compute_rap_costs
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.params import RCPPParams
-from repro.core.rap import solve_rap
+from repro.core.sparse_rap import solve_rap_sparse
 from repro.experiments.testcases import (
     DEFAULT_SCALE,
     TestcaseSpec,
@@ -30,6 +30,7 @@ from repro.experiments.testcases import (
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
 from repro.techlib.asap7 import make_asap7_library
+from repro.utils.errors import InfeasibleError
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,16 @@ def row_pairing_ablation(
             initial.placed, idx, clustering.labels, clustering.n_clusters,
             pair_center_y, initial.minority_widths_original,
         )
-        return solve_rap(
-            costs.combine(params.alpha),
-            costs.cluster_width,
+        solution, _, _ = solve_rap_sparse(
+            [costs.combine(params.alpha)],
+            [costs.cluster_width],
             pair_capacity * params.row_fill,
-            n_minr,
-            clustering.labels,
+            [n_minr],
+            sparse=False,
         )
+        if not solution.ok:
+            raise InfeasibleError(f"RAP solve failed: {solution.status}")
+        return solution.objective
 
     n_minr = FlowRunner(initial, params).n_minority_rows
     paired = solve_at(initial.pair_center_y, initial.pair_capacity, n_minr)
@@ -136,6 +140,6 @@ def row_pairing_ablation(
     single = solve_at(row_center_y, row_capacity, 2 * n_minr)
 
     return RowPairingResult(
-        paired_objective=paired.objective,
-        single_row_objective=single.objective,
+        paired_objective=paired,
+        single_row_objective=single,
     )

@@ -6,8 +6,8 @@ constraints, heuristic assignment), never to kill the run.  This module
 holds the policy objects the flow runner threads through every stage:
 
 * :class:`Deadline` — an absolute wall-clock budget propagated down the
-  call chain (``RCPPParams.time_budget_s`` → ``solve_rap`` →
-  ``solve_milp``); each stage clamps its own solver time limit to the
+  call chain (``RCPPParams.time_budget_s`` → ``solve_rap_resilient``
+  → ``solve_milp``); each stage clamps its own solver time limit to the
   remaining budget.
 * :class:`RetryPolicy` — bounded retry-with-backoff for transient solver
   failures.

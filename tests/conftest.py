@@ -5,6 +5,7 @@ designs are immutable from the tests' point of view (tests that mutate a
 design build their own).
 """
 
+import numpy as np
 import pytest
 
 from repro.netlist.generator import GeneratorSpec, generate_netlist
@@ -37,6 +38,44 @@ def make_design(
     if minority_fraction > 0:
         size_to_minority_fraction(design, minority_fraction)
     return design
+
+
+def solve_assignment(
+    f,
+    cluster_width,
+    pair_capacity,
+    n_rows,
+    labels,
+    majority_track=6.0,
+    minority_track=7.5,
+    backend="highs",
+):
+    """One-class RAP through the engine's full-mask path, decoded.
+
+    Raises :class:`~repro.utils.errors.InfeasibleError` when the solve
+    returns no assignment.
+    """
+    from repro.core.rap import RowAssignment
+    from repro.core.sparse_rap import solve_rap_sparse
+    from repro.utils.errors import InfeasibleError
+
+    solution, maps, _ = solve_rap_sparse(
+        [f], [cluster_width], pair_capacity, [n_rows],
+        backend=backend, sparse=False,
+    )
+    if maps is None:
+        raise InfeasibleError(f"RAP solve failed: {solution.status}")
+    cluster_to_pair = maps[0]
+    cells = cluster_to_pair[np.asarray(labels)]
+    return RowAssignment.from_classes(
+        {minority_track: (cluster_to_pair, cells)},
+        majority_track,
+        f.shape[1],
+        objective=solution.objective,
+        ilp_runtime_s=solution.runtime_s,
+        num_variables=f.size + f.shape[1],
+        solver_nodes=solution.nodes,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from repro.core.baseline import baseline_row_assignment
 from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.heights import HeightSpec
 from repro.core.params import RCPPParams
-from repro.core.rap import build_rap_model, solve_rap
+from repro.core.rap import build_rap_model
 from repro.netlist.generator import GeneratorSpec, generate_netlist
 from repro.netlist.synthesis import size_to_minority_fraction
 from repro.solvers import BranchAndBoundSolver, MilpStatus, solve_milp
@@ -31,7 +31,7 @@ from repro.utils.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from tests.conftest import make_design
+from tests.conftest import make_design, solve_assignment
 
 pytestmark = pytest.mark.faults
 
@@ -81,7 +81,8 @@ class TestSolverLimits:
         w = np.ones(2)
         cap = np.full(3, 10.0)
         with pytest.raises(InfeasibleError):
-            solve_rap(f, w, cap, 3, labels=np.arange(2))  # 3 rows, 2 clusters
+            # 3 rows, 2 clusters
+            solve_assignment(f, w, cap, 3, labels=np.arange(2))
 
 
 class TestDegenerateDesigns:

@@ -1,11 +1,11 @@
-"""HeightSpec API + N-height RAP: bit-identity with the two-height core.
+"""HeightSpec API + N-height RAP: one engine for every class count.
 
 The generalization's contract has two layers:
 
 * a two-entry :class:`HeightSpec` is the *same computation* as the
-  default ``heights=None`` setting and as the two-height engine — same
-  models, same solver calls, same assignments, HPWL and provenance, bit
-  for bit;
+  default ``heights=None`` setting, and its full model is the reference
+  :func:`build_rap_model` — same models, same solver answers, same
+  assignments, HPWL and provenance, bit for bit;
 * N >= 3 instances solve through the joint height-indexed model with a
   reduced-cost certificate, and fall back to simulated annealing when
   every MILP rung fails.
@@ -21,23 +21,19 @@ from repro.core.flows import FlowKind, FlowRunner, prepare_initial_placement
 from repro.core.heights import (
     HeightClass,
     HeightSpec,
-    _build_restricted_nheight,
     anneal_nheight,
-    build_nheight_rap_model,
     greedy_nheight,
-    solve_rap_nheight,
     solve_rap_resilient,
-    validate_nheight_inputs,
 )
 from repro.core.params import RCPPParams
 from repro.core.rap import (
     RowAssignment,
-    assignment_to_vector,
     build_rap_model,
     dense_assignment,
     required_minority_pairs,
+    validate_rap_inputs,
 )
-from repro.core.sparse_rap import solve_rap_sparse
+from repro.core.sparse_rap import build_sparse_rap_model, solve_rap_sparse
 from repro.solvers.milp import solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
 from repro.utils.resilience import (
@@ -179,24 +175,36 @@ class TestBudgets:
 
 
 class TestModelDelegation:
-    """K = 1 builds the exact legacy model object."""
+    """K = 1 builds the exact reference model."""
 
-    def test_single_class_model_identical(self):
-        rng = np.random.default_rng(3)
-        f = rng.uniform(0, 10, size=(4, 6))
-        w = rng.uniform(1, 3, size=4)
-        cap = np.full(6, w.sum() + 1.0)
-        legacy = build_rap_model(f, w, cap, 2)
-        joint = build_nheight_rap_model([f], [w], cap, [2])
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_single_class_model_identical(self, seed):
+        """The full-mask, uncut builder emits the reference model's CSR
+        arrays exactly (same storage, not just the same values)."""
+        rng = np.random.default_rng(seed)
+        n_c, n_p = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        f = rng.uniform(0, 10, size=(n_c, n_p))
+        w = rng.uniform(1, 3, size=n_c)
+        cap = np.full(n_p, w.sum() + 1.0)
+        n_rows = int(rng.integers(1, n_p + 1))
+        legacy = build_rap_model(f, w, cap, n_rows)
+        joint = build_sparse_rap_model([f], [w], cap, [n_rows]).model
         assert np.array_equal(legacy.c, joint.c)
         assert np.array_equal(legacy.b_eq, joint.b_eq)
         assert np.array_equal(legacy.b_ub, joint.b_ub)
-        assert (legacy.a_eq != joint.a_eq).nnz == 0
-        assert (legacy.a_ub != joint.a_ub).nnz == 0
+        for a, b in ((legacy.a_eq, joint.a_eq), (legacy.a_ub, joint.a_ub)):
+            assert a.shape == b.shape
+            for part in ("indptr", "indices", "data"):
+                x, y = getattr(a, part), getattr(b, part)
+                assert x.dtype == y.dtype and np.array_equal(x, y), part
+        assert legacy.variable_names() == joint.variable_names()
 
     def test_joint_model_shape(self):
         f_by_class, w_by_class, cap, budgets = random_joint_instance(7)
-        model = build_nheight_rap_model(f_by_class, w_by_class, cap, budgets)
+        model = build_sparse_rap_model(
+            f_by_class, w_by_class, cap, budgets
+        ).model
         n_p = len(cap)
         n_x = sum(f.shape[0] for f in f_by_class) * n_p
         assert model.c.shape == (n_x + len(f_by_class) * n_p,)
@@ -204,28 +212,11 @@ class TestModelDelegation:
     def test_validate_rejects_overbooked_budgets(self):
         f_by_class, w_by_class, cap, _ = random_joint_instance(11, n_p=4)
         with pytest.raises(InfeasibleError):
-            validate_nheight_inputs(f_by_class, w_by_class, cap, [3, 2])
+            validate_rap_inputs(f_by_class, w_by_class, cap, [3, 2])
 
 
 class TestTwoHeightBitIdentity:
-    """solve_rap_nheight at K = 1 IS the legacy engine."""
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_sparse_delegation_matches(self, seed):
-        rng = np.random.default_rng(seed)
-        n_c, n_p = int(rng.integers(2, 6)), int(rng.integers(3, 7))
-        f = rng.uniform(0, 100, size=(n_c, n_p))
-        w = rng.uniform(1, 4, size=n_c)
-        cap = np.full(n_p, w.sum() + 2.0)
-        n_minr = int(rng.integers(1, min(n_c, n_p) + 1))
-        legacy_solution, _ = solve_rap_sparse(f, w, cap, n_minr)
-        solution, assignment, stats = solve_rap_nheight(
-            [f], [w], cap, [n_minr]
-        )
-        assert solution.objective == legacy_solution.objective
-        assert np.array_equal(solution.x, legacy_solution.x)
-        assert assignment is not None and len(assignment) == 1
+    """The engine's K = 1 full-mask solve IS the reference model's."""
 
     @pytest.mark.parametrize("backend", EXACT_BACKENDS)
     def test_dense_delegation_matches(self, backend):
@@ -234,7 +225,7 @@ class TestTwoHeightBitIdentity:
         w = rng.uniform(1, 4, size=4)
         cap = np.full(5, w.sum() + 2.0)
         legacy = solve_milp(build_rap_model(f, w, cap, 2), backend=backend)
-        solution, _, _ = solve_rap_nheight(
+        solution, _, _ = solve_rap_sparse(
             [f], [w], cap, [2], backend=backend, sparse=False
         )
         assert solution.objective == legacy.objective
@@ -242,25 +233,12 @@ class TestTwoHeightBitIdentity:
 
 
 class TestJointSolve:
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_certified_sparse_equals_dense(self, seed):
-        f_by_class, w_by_class, cap, budgets = random_joint_instance(seed)
-        solution, assignment, stats = solve_rap_nheight(
-            f_by_class, w_by_class, cap, budgets
-        )
-        assert stats.certified
-        dense = solve_milp(
-            build_nheight_rap_model(f_by_class, w_by_class, cap, budgets)
-        )
-        assert dense.ok
-        assert solution.objective == pytest.approx(dense.objective, abs=1e-6)
-
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_assignment_feasible(self, n_classes):
         f_by_class, w_by_class, cap, budgets = random_joint_instance(
             42, n_classes=n_classes, n_p=8
         )
-        _, assignment, _ = solve_rap_nheight(
+        _, assignment, _ = solve_rap_sparse(
             f_by_class, w_by_class, cap, budgets
         )
         assert assignment is not None
@@ -279,7 +257,7 @@ class TestJointSolve:
 
         f_by_class, w_by_class, cap, budgets = random_joint_instance(5)
         with pytest.raises(SolverError):
-            solve_rap_nheight(
+            solve_rap_sparse(
                 f_by_class, w_by_class, cap, budgets, backend="lagrangian"
             )
 
@@ -362,7 +340,8 @@ class TestDecoderRejectsUnassigned:
         return {t: (a, a[np.arange(len(a))]) for t, a in zip(tracks, maps)}
 
     def test_k1(self):
-        x = assignment_to_vector(np.array([0, 2, 2]), 3, 4)
+        x = np.zeros(3 * 4 + 4)
+        x[[0 * 4 + 0, 1 * 4 + 2, 2 * 4 + 2, 12 + 0, 12 + 2]] = 1.0
         x[4:8] = 0.0  # cluster 1 loses its pair
         cluster_to_pair = dense_assignment(x, 3, 4)
         assert cluster_to_pair.tolist() == [0, -1, 2]
@@ -373,10 +352,7 @@ class TestDecoderRejectsUnassigned:
 
     def test_k2(self):
         f_by_class, w_by_class, cap, budgets = random_joint_instance(5)
-        masks = [np.ones(f.shape, dtype=bool) for f in f_by_class]
-        srm = _build_restricted_nheight(
-            f_by_class, w_by_class, cap, budgets, masks
-        )
+        srm = build_sparse_rap_model(f_by_class, w_by_class, cap, budgets)
         x = srm.encode_assignment(
             greedy_nheight(f_by_class, w_by_class, cap, budgets)
         )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.flows import FlowKind, FlowRunner
 from repro.core.params import RCPPParams
-from repro.core.rap import solve_rap
 from repro.eval.qor import collect_qor
 from repro.netlist.stats import compute_stats
 from repro.solvers.lagrangian import solve_rap_lagrangian
@@ -14,6 +13,7 @@ from repro.timing.paths import extract_critical_paths, format_path
 from repro.timing.sta import run_sta
 from repro.timing.wireload import fanout_wireload_lengths
 from repro.utils.errors import InfeasibleError
+from tests.conftest import solve_assignment
 
 
 class TestCriticalPaths:
@@ -105,7 +105,7 @@ class TestLagrangian:
     def test_sandwiches_exact_optimum(self):
         for seed in range(6):
             f, w, cap = self._instance(seed)
-            exact = solve_rap(f, w, cap, 3, labels=np.arange(len(w)))
+            exact = solve_assignment(f, w, cap, 3, labels=np.arange(len(w)))
             lag = solve_rap_lagrangian(f, w, cap, 3)
             assert lag.lower_bound <= exact.objective + 1e-6
             assert lag.objective >= exact.objective - 1e-6

@@ -7,11 +7,9 @@ from repro.core.rap import (
     build_rap_model,
     greedy_rap,
     required_minority_pairs,
-    solution_to_assignment,
-    solve_rap,
 )
-from repro.solvers import solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
+from tests.conftest import solve_assignment
 
 
 def tiny_instance(n_c=4, n_p=6, seed=0):
@@ -66,7 +64,7 @@ class TestSolve:
     def test_row_count_honored(self):
         f, w, cap = tiny_instance()
         for n_minr in (1, 2, 3):
-            a = solve_rap(f, w, cap, n_minr, labels=np.arange(4))
+            a = solve_assignment(f, w, cap, n_minr, labels=np.arange(4))
             assert a.n_minority_rows == n_minr
             assert len(set(a.cluster_to_pair.tolist())) == n_minr
 
@@ -82,7 +80,7 @@ class TestSolve:
         )
         w = np.full(3, 10.0)
         cap = np.full(4, 100.0)
-        a = solve_rap(f, w, cap, 3, labels=np.arange(3))
+        a = solve_assignment(f, w, cap, 3, labels=np.arange(3))
         assert a.cluster_to_pair.tolist() == [0, 1, 2]
         assert a.objective == pytest.approx(0.0)
 
@@ -91,31 +89,32 @@ class TestSolve:
         f = np.array([[0.0, 1.0], [0.0, 1.0]])
         w = np.array([60.0, 60.0])
         cap = np.array([100.0, 100.0])
-        a = solve_rap(f, w, cap, 2, labels=np.arange(2))
+        a = solve_assignment(f, w, cap, 2, labels=np.arange(2))
         assert sorted(a.cluster_to_pair.tolist()) == [0, 1]
 
     def test_objective_matches_assignment(self):
         f, w, cap = tiny_instance(seed=3)
-        a = solve_rap(f, w, cap, 2, labels=np.arange(4))
+        a = solve_assignment(f, w, cap, 2, labels=np.arange(4))
         manual = sum(f[c, a.cluster_to_pair[c]] for c in range(4))
         assert a.objective == pytest.approx(manual)
 
     def test_cell_to_pair_follows_labels(self):
         f, w, cap = tiny_instance()
         labels = np.array([0, 0, 1, 1, 2, 3, 3])
-        a = solve_rap(f, w, cap, 2, labels=labels)
+        a = solve_assignment(f, w, cap, 2, labels=labels)
         assert np.array_equal(a.cell_to_pair, a.cluster_to_pair[labels])
 
     def test_pair_tracks_consistent(self):
         f, w, cap = tiny_instance()
-        a = solve_rap(f, w, cap, 2, labels=np.arange(4))
+        a = solve_assignment(f, w, cap, 2, labels=np.arange(4))
         minority = {p for p, t in enumerate(a.pair_tracks) if t == 7.5}
         assert minority == set(a.minority_pairs.tolist())
 
     def test_bnb_backend_matches_highs(self):
         f, w, cap = tiny_instance(n_c=3, n_p=4, seed=9)
-        a = solve_rap(f, w, cap, 2, labels=np.arange(3), backend="highs")
-        b = solve_rap(f, w, cap, 2, labels=np.arange(3), backend="bnb")
+        labels = np.arange(3)
+        a = solve_assignment(f, w, cap, 2, labels=labels, backend="highs")
+        b = solve_assignment(f, w, cap, 2, labels=labels, backend="bnb")
         assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
     def test_infeasible_capacity(self):
@@ -123,17 +122,17 @@ class TestSolve:
         w = np.array([100.0, 100.0])
         cap = np.array([50.0, 50.0])
         with pytest.raises(InfeasibleError):
-            solve_rap(f, w, cap, 1, labels=np.arange(2))
+            solve_assignment(f, w, cap, 1, labels=np.arange(2))
 
     def test_open_rows_must_host(self):
         """y_r <= sum x_cr: with 2 clusters, N_minR=3 is infeasible."""
         f, w, cap = tiny_instance(n_c=2, n_p=5)
         with pytest.raises(InfeasibleError):
-            solve_rap(f, w, cap, 3, labels=np.arange(2))
+            solve_assignment(f, w, cap, 3, labels=np.arange(2))
 
     def test_runtime_recorded(self):
         f, w, cap = tiny_instance()
-        a = solve_rap(f, w, cap, 2, labels=np.arange(4))
+        a = solve_assignment(f, w, cap, 2, labels=np.arange(4))
         assert a.ilp_runtime_s >= 0.0
         assert a.num_variables == 4 * 6 + 6
 
@@ -152,17 +151,9 @@ class TestGreedy:
         for seed in range(5):
             f, w, cap = tiny_instance(seed=seed)
             greedy = greedy_rap(f, w, cap, 2)
-            exact = solve_rap(f, w, cap, 2, labels=np.arange(4))
+            exact = solve_assignment(f, w, cap, 2, labels=np.arange(4))
             if greedy is None:
                 continue
             greedy_cost = sum(f[c, greedy[c]] for c in range(4))
             assert greedy_cost >= exact.objective - 1e-9
 
-
-class TestDecode:
-    def test_bad_solution_rejected(self):
-        from repro.solvers.milp import MilpSolution, MilpStatus
-
-        bad = MilpSolution(status=MilpStatus.INFEASIBLE, x=None, objective=np.inf)
-        with pytest.raises(InfeasibleError):
-            solution_to_assignment(bad, 2, 3, np.arange(2), 6.0, 7.5)

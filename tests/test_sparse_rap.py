@@ -1,13 +1,13 @@
-"""Sparse RAP engine: equivalence with the dense model, pricing, decomposition.
+"""Sparse RAP engine: equivalence with the full model, pricing, decomposition.
 
-The engine's contract is *provable equality* with the dense optimum:
+The engine's contract is *provable equality* with the full optimum:
 
-* at a forced ``candidate_k = N_P`` the restricted model (and hence the
-  decoded :class:`RowAssignment`) is bit-identical to the dense path on
-  every backend;
+* at one class the full-mask, uncut model is :func:`build_rap_model`'s,
+  and a forced ``candidate_k = N_P`` solve is bit-identical to the
+  full-mask path on every backend;
 * with pruning active, the reduced-cost pricing loop re-admits exactly
   the columns that could still beat the restricted optimum, so certified
-  solves equal the dense objective;
+  solves equal the full objective at every class count;
 * component decomposition + the row-apportionment DP is exact under any
   permutation of clusters and pairs.
 """
@@ -21,16 +21,12 @@ from hypothesis import strategies as st
 
 from repro.core.cost import cheapest_pairs_mask, group_sum
 from repro.core.params import RCPPParams
-from repro.core.rap import (
-    build_rap_model,
-    solve_rap,
-)
+from repro.core.rap import build_rap_model, validate_rap_inputs
 from repro.core.heights import solve_rap_resilient
 from repro.core.sparse_rap import (
     adaptive_candidate_count,
     build_sparse_rap_model,
     solve_rap_sparse,
-    validate_rap_inputs,
 )
 from repro.solvers.milp import MilpStatus, solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
@@ -64,27 +60,46 @@ def random_instance(seed, n_c=None, n_p=None, tight=False):
     return f, w, cap, n_minr
 
 
+def random_class_instance(seed, n_classes):
+    """``random_instance`` at one class; a random feasible joint
+    instance (continuous costs, no ties) at two or more."""
+    if n_classes == 1:
+        f, w, cap, n_minr = random_instance(seed)
+        return [f], [w], cap, [n_minr]
+    rng = np.random.default_rng(seed)
+    n_p = int(rng.integers(2 * n_classes, 9))
+    f_by = [rng.uniform(0.0, 100.0, size=(int(rng.integers(2, 5)), n_p))
+            for _ in range(n_classes)]
+    w_by = [rng.uniform(1.0, 4.0, size=f.shape[0]) for f in f_by]
+    cap = np.full(n_p, max(w.sum() for w in w_by) + 5.0)
+    # Enough pairs per class to host its width, the total under n_p.
+    budgets = [max(1, int(np.ceil(w.sum() / cap[0]))) for w in w_by]
+    while sum(budgets) > n_p - (n_classes - 1):
+        budgets[int(np.argmax(budgets))] -= 1
+    return f_by, w_by, cap, budgets
+
+
 class TestValidation:
     def test_shape_mismatches(self):
         f = np.ones((3, 4))
         with pytest.raises(ValidationError):
-            validate_rap_inputs(f, np.ones(2), np.ones(4), 1)
+            validate_rap_inputs([f], [np.ones(2)], np.ones(4), [1])
         with pytest.raises(ValidationError):
-            validate_rap_inputs(f, np.ones(3), np.ones(5), 1)
+            validate_rap_inputs([f], [np.ones(3)], np.ones(5), [1])
 
     def test_nminr_bounds_message(self):
         f = np.ones((3, 4))
         with pytest.raises(InfeasibleError, match=r"outside \[1, 4\]"):
-            validate_rap_inputs(f, np.ones(3), np.ones(4), 5)
+            validate_rap_inputs([f], [np.ones(3)], np.ones(4), [5])
         with pytest.raises(InfeasibleError, match="all 4 row pairs"):
-            validate_rap_inputs(f, np.ones(3), np.ones(4), 0)
+            validate_rap_inputs([f], [np.ones(3)], np.ones(4), [0])
 
     def test_mask_must_cover_every_cluster(self):
         f, w, cap, n_minr = random_instance(0)
         mask = np.ones(f.shape, dtype=bool)
         mask[0, :] = False
         with pytest.raises(ValidationError):
-            build_sparse_rap_model(f, w, cap, n_minr, mask)
+            build_sparse_rap_model([f], [w], cap, [n_minr], [mask])
 
     def test_adaptive_count_saturates(self):
         f, w, cap, n_minr = random_instance(1)
@@ -96,14 +111,12 @@ class TestValidation:
 
 
 class TestBitIdentity:
-    """candidate_k = N_P must reproduce the dense path exactly."""
+    """candidate_k = N_P must reproduce the full-mask path exactly."""
 
     def test_full_mask_model_matches_dense(self):
         f, w, cap, n_minr = random_instance(2)
         dense = build_rap_model(f, w, cap, n_minr)
-        srm = build_sparse_rap_model(
-            f, w, cap, n_minr, np.ones(f.shape, dtype=bool)
-        )
+        srm = build_sparse_rap_model([f], [w], cap, [n_minr])
         assert np.array_equal(dense.c, srm.model.c)
         assert (dense.a_ub != srm.model.a_ub).nnz == 0
         assert (dense.a_eq != srm.model.a_eq).nnz == 0
@@ -115,18 +128,16 @@ class TestBitIdentity:
     @given(seed=st.integers(0, 10_000))
     def test_k_equals_np_identical_assignment(self, seed):
         f, w, cap, n_minr = random_instance(seed)
-        labels = np.arange(f.shape[0])
         for backend in ALL_BACKENDS:
-            dense = solve_rap(
-                f, w, cap, n_minr, labels, backend=backend, sparse=False
+            dense, dense_maps, _ = solve_rap_sparse(
+                [f], [w], cap, [n_minr], backend=backend, sparse=False
             )
-            sparse = solve_rap(
-                f, w, cap, n_minr, labels, backend=backend,
-                sparse=True, candidate_k=f.shape[1],
+            sparse, sparse_maps, _ = solve_rap_sparse(
+                [f], [w], cap, [n_minr], backend=backend,
+                candidate_k=f.shape[1],
             )
-            assert np.array_equal(
-                dense.cluster_to_pair, sparse.cluster_to_pair
-            ), backend
+            assert dense_maps is not None and sparse_maps is not None
+            assert np.array_equal(dense_maps[0], sparse_maps[0]), backend
             assert dense.objective == sparse.objective
 
     def test_forced_full_k_skips_cuts(self):
@@ -135,32 +146,33 @@ class TestBitIdentity:
         f, w, cap, n_minr = random_instance(3)
         dense = build_rap_model(f, w, cap, n_minr)
         plain = build_sparse_rap_model(
-            f, w, cap, n_minr, np.ones(f.shape, dtype=bool), strengthen=False
+            [f], [w], cap, [n_minr], strengthen=False
         )
-        cut = build_sparse_rap_model(
-            f, w, cap, n_minr, np.ones(f.shape, dtype=bool), strengthen=True
-        )
+        cut = build_sparse_rap_model([f], [w], cap, [n_minr], strengthen=True)
         assert plain.model.a_ub.shape[0] == dense.a_ub.shape[0]
         assert cut.model.a_ub.shape[0] > dense.a_ub.shape[0]
 
 
 class TestExactness:
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_default_strategy_matches_dense(self, seed):
-        """Reduced-cost fixing: same objective as dense, certified."""
-        f, w, cap, n_minr = random_instance(seed)
-        dense = solve_milp(
-            build_rap_model(f, w, cap, n_minr), backend="highs"
+    def test_certified_sparse_equals_full_optimum(self, n_classes, seed):
+        """Reduced-cost fixing: same objective as the full model, and
+        certified, at every class count and on both exact backends."""
+        f_by, w_by, cap, budgets = random_class_instance(seed, n_classes)
+        full = solve_milp(
+            build_sparse_rap_model(f_by, w_by, cap, budgets).model,
+            backend="highs",
         )
         for backend in EXACT_BACKENDS:
-            solution, stats = solve_rap_sparse(
-                f, w, cap, n_minr, backend=backend
+            solution, maps, stats = solve_rap_sparse(
+                f_by, w_by, cap, budgets, backend=backend
             )
-            if dense.status is MilpStatus.OPTIMAL:
-                assert solution.ok
+            if full.status is MilpStatus.OPTIMAL:
+                assert solution.ok and maps is not None
                 assert solution.objective == pytest.approx(
-                    dense.objective, abs=1e-6
+                    full.objective, abs=1e-6
                 )
                 assert stats.certified
             else:
@@ -174,7 +186,9 @@ class TestExactness:
         dense = solve_milp(
             build_rap_model(f, w, cap, n_minr), backend="highs"
         )
-        solution, stats = solve_rap_sparse(f, w, cap, n_minr, candidate_k=1)
+        solution, _, stats = solve_rap_sparse(
+            [f], [w], cap, [n_minr], candidate_k=1
+        )
         if dense.status is MilpStatus.OPTIMAL:
             assert solution.objective == pytest.approx(
                 dense.objective, abs=1e-6
@@ -192,7 +206,9 @@ class TestExactness:
         cap = np.array([2.0, 2.0, 2.0])
         dense = solve_milp(build_rap_model(f, w, cap, 1), backend="highs")
         assert dense.objective == pytest.approx(0.7)
-        solution, stats = solve_rap_sparse(f, w, cap, 1, candidate_k=2)
+        solution, _, stats = solve_rap_sparse(
+            [f], [w], cap, [1], candidate_k=2
+        )
         assert solution.objective == pytest.approx(dense.objective)
         assert stats.admitted_columns > 0  # the repair loop fired
         assert stats.rounds > 1
@@ -215,7 +231,9 @@ class TestExactness:
         w = np.full(4, 2.0)
         cap = np.array([2.5, 2.5, 10.0])
         dense = solve_milp(build_rap_model(f, w, cap, 2), backend="highs")
-        solution, stats = solve_rap_sparse(f, w, cap, 2, candidate_k=1)
+        solution, _, stats = solve_rap_sparse(
+            [f], [w], cap, [2], candidate_k=1
+        )
         assert solution.status is MilpStatus.OPTIMAL
         assert solution.objective == pytest.approx(dense.objective)
         assert stats.k_final > stats.k_initial
@@ -225,20 +243,21 @@ class TestExactness:
         f = np.ones((3, 2))
         w = np.full(3, 10.0)
         cap = np.full(2, 1.0)  # nothing fits
-        solution, stats = solve_rap_sparse(f, w, cap, 1)
+        solution, _, stats = solve_rap_sparse([f], [w], cap, [1])
         assert solution.status is MilpStatus.INFEASIBLE
         assert stats.certified  # infeasibility proven at the dense LP
 
     def test_lagrangian_direct_matches_model_path(self):
         f, w, cap, n_minr = random_instance(7)
-        labels = np.arange(f.shape[0])
-        dense = solve_rap(
-            f, w, cap, n_minr, labels, backend="lagrangian", sparse=False
+        model_path = solve_milp(
+            build_rap_model(f, w, cap, n_minr), backend="lagrangian"
         )
-        sparse = solve_rap(
-            f, w, cap, n_minr, labels, backend="lagrangian", sparse=True
+        direct, _, stats = solve_rap_sparse(
+            [f], [w], cap, [n_minr], backend="lagrangian"
         )
-        assert np.array_equal(dense.cluster_to_pair, sparse.cluster_to_pair)
+        assert stats.strategy == "lagrangian"
+        assert np.array_equal(model_path.x, direct.x)
+        assert model_path.objective == direct.objective
 
 
 class TestSmallInstanceShortcut:
@@ -256,7 +275,7 @@ class TestSmallInstanceShortcut:
             dense = solve_milp(
                 build_rap_model(f, w, cap, n_minr), backend="highs"
             )
-            solution, stats = solve_rap_sparse(f, w, cap, n_minr)
+            solution, _, stats = solve_rap_sparse([f], [w], cap, [n_minr])
             assert stats.strategy == "dense"
             assert stats.certified
             assert solution.objective == pytest.approx(dense.objective)
@@ -265,14 +284,14 @@ class TestSmallInstanceShortcut:
         f = np.ones((3, 2))
         w = np.full(3, 10.0)
         cap = np.full(2, 1.0)
-        solution, stats = solve_rap_sparse(f, w, cap, 1)
+        solution, _, stats = solve_rap_sparse([f], [w], cap, [1])
         assert stats.strategy == "dense"
         assert solution.status is MilpStatus.INFEASIBLE
         assert stats.certified
 
     def test_forced_k_bypasses_shortcut(self):
         f, w, cap, n_minr = random_instance(3)
-        _, stats = solve_rap_sparse(f, w, cap, n_minr, candidate_k=2)
+        _, _, stats = solve_rap_sparse([f], [w], cap, [n_minr], candidate_k=2)
         assert stats.strategy == "top-k"
 
 
@@ -299,8 +318,8 @@ class TestDecomposition:
         relabeling of clusters and pairs."""
         f, w, cap = self._two_block(permute_seed)
         dense = solve_milp(build_rap_model(f, w, cap, 3), backend="highs")
-        solution, stats = solve_rap_sparse(
-            f, w, cap, 3, candidate_k=3, workers=2
+        solution, _, stats = solve_rap_sparse(
+            [f], [w], cap, [3], candidate_k=3, workers=2
         )
         assert stats.n_components == 2
         assert solution.objective == pytest.approx(dense.objective)
@@ -311,7 +330,7 @@ class TestDecomposition:
         the split and the escalated dense model confirms."""
         f, w, cap = self._two_block()
         cap = np.full_like(cap, w.sum() * 0.6)
-        solution, _ = solve_rap_sparse(f, w, cap, 1, candidate_k=3)
+        solution, _, _ = solve_rap_sparse([f], [w], cap, [1], candidate_k=3)
         assert solution.status is MilpStatus.INFEASIBLE
         dense = solve_milp(build_rap_model(f, w, cap, 1), backend="highs")
         assert dense.status is MilpStatus.INFEASIBLE
@@ -320,12 +339,13 @@ class TestDecomposition:
 class TestWarmStarts:
     def test_warm_assignment_threads_through(self):
         f, w, cap, n_minr = random_instance(21)
-        base, _ = solve_rap_sparse(f, w, cap, n_minr)
+        base, _, _ = solve_rap_sparse([f], [w], cap, [n_minr])
         assert base.x is not None
         warm = np.argmax(base.x[: f.size].reshape(f.shape), axis=1)
         for backend in ALL_BACKENDS:
-            solution, _ = solve_rap_sparse(
-                f, w, cap, n_minr, backend=backend, warm_assignment=warm
+            solution, _, _ = solve_rap_sparse(
+                [f], [w], cap, [n_minr], backend=backend,
+                warm_assignment=[warm],
             )
             assert solution.ok
             if backend != "lagrangian":
@@ -336,8 +356,8 @@ class TestWarmStarts:
     def test_invalid_warm_ignored(self):
         f, w, cap, n_minr = random_instance(22)
         bogus = np.full(f.shape[0], f.shape[1] + 3)
-        solution, stats = solve_rap_sparse(
-            f, w, cap, n_minr, warm_assignment=bogus
+        solution, _, stats = solve_rap_sparse(
+            [f], [w], cap, [n_minr], warm_assignment=[bogus]
         )
         assert solution.ok and stats.certified
 
@@ -378,8 +398,8 @@ class TestTotalBudget:
 
         warm = greedy_rap(f, w, cap, n_minr)
         t0 = time.perf_counter()
-        solution, stats = solve_rap_sparse(
-            f, w, cap, n_minr, time_limit_s=0.2, warm_assignment=warm
+        solution, _, stats = solve_rap_sparse(
+            [f], [w], cap, [n_minr], time_limit_s=0.2, warm_assignment=[warm]
         )
         wall = time.perf_counter() - t0
         assert wall < 2.0
@@ -392,16 +412,40 @@ class TestTotalBudget:
         from repro.core.rap import greedy_rap
 
         warm = greedy_rap(f, w, cap, n_minr)
-        solution, stats = solve_rap_sparse(
-            f, w, cap, n_minr, time_limit_s=1e-6, warm_assignment=warm
+        solution, _, stats = solve_rap_sparse(
+            [f], [w], cap, [n_minr], time_limit_s=1e-6, warm_assignment=[warm]
         )
         assert solution.ok and solution.x is not None
         warm_cost = float(f[np.arange(f.shape[0]), warm].sum())
         assert solution.objective <= warm_cost + 1e-6
 
+    def test_budget_bounds_joint_solve(self):
+        # Two classes, 260 + 200 clusters x 70 pairs: the strengthened
+        # LP alone takes far longer than the 0.5 s budget.  The budget caps
+        # the LP and every restricted MILP, so the solve ends soon after
+        # the limit (an engine handing the LP no limit and each MILP the
+        # full one took ~9 s here), and its answer is not certified.
+        rng = np.random.default_rng(34)
+        n_p = 70
+        f_by = [rng.uniform(0.0, 100.0, size=(n, n_p)) for n in (260, 200)]
+        w_by = [rng.uniform(1.0, 4.0, size=len(f)) for f in f_by]
+        budgets = [n_p // 4, n_p // 4]
+        cap = np.full(
+            n_p, max(w.sum() / (b - 2) for w, b in zip(w_by, budgets))
+        )
+        t0 = time.perf_counter()
+        solution, _, stats = solve_rap_sparse(
+            f_by, w_by, cap, budgets, time_limit_s=0.5
+        )
+        wall = time.perf_counter() - t0
+        assert wall < 0.5 + 2.5
+        assert stats.lp_bound is None  # the LP (~6 s unlimited) was cut
+        assert not stats.certified
+        assert solution.status is not MilpStatus.OPTIMAL
+
     def test_unlimited_budget_still_certifies(self):
         f, w, cap, n_minr = random_instance(33, n_c=12, n_p=9)
-        solution, stats = solve_rap_sparse(f, w, cap, n_minr)
+        solution, _, stats = solve_rap_sparse([f], [w], cap, [n_minr])
         assert solution.status is MilpStatus.OPTIMAL
         assert stats.certified
 
@@ -472,8 +516,8 @@ class TestSweepSetEquivalence:
             build_rap_model(f, costs.cluster_width, cap, n_minr),
             backend="highs",
         )
-        solution, stats = solve_rap_sparse(
-            f, costs.cluster_width, cap, n_minr
+        solution, _, stats = solve_rap_sparse(
+            [f], [costs.cluster_width], cap, [n_minr]
         )
         assert dense.status is MilpStatus.OPTIMAL
         assert solution.objective == pytest.approx(
