@@ -233,6 +233,19 @@ class TestTwoHeightBitIdentity:
 
 
 class TestJointSolve:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_certified_sparse_equals_dense(self, seed):
+        f_by_class, w_by_class, cap, budgets = random_joint_instance(seed)
+        solution, assignment, stats = solve_rap_sparse(
+            f_by_class, w_by_class, cap, budgets
+        )
+        assert stats.certified
+        dense = solve_milp(
+            build_sparse_rap_model(f_by_class, w_by_class, cap, budgets).model
+        )
+        assert dense.ok
+        assert solution.objective == pytest.approx(dense.objective, abs=1e-6)
+
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_assignment_feasible(self, n_classes):
         f_by_class, w_by_class, cap, budgets = random_joint_instance(
