@@ -79,8 +79,8 @@ bench-race:
 	  || (rm -f BENCH_kernels.json.new; exit 1)
 	mv BENCH_kernels.json.new BENCH_kernels.json
 
-# Joint N-height (N=3) RAP rebench (aes3h_340, sweep scale): refreshes
-# the rap_nheight entry — height-indexed sparse engine vs the dense joint
+# Joint N-height (N=3) RAP rebench (fpu3h_4500 at scale 0.3): refreshes
+# the rap_nheight entry — class-indexed sparse engine vs the dense joint
 # model — and gates the N=3 objective-match invariant.
 bench-nheight:
 	$(PYTHON) scripts/bench_kernels.py --only nheight --merge BENCH_kernels.json \

@@ -27,10 +27,13 @@ free cores only starves the winner), so the floor then gates pure
 harness overhead.
 
 The ``nheight`` group times the joint N-height RAP layer (three track
-heights, ``aes3h_340`` at the sweep scale): the height-indexed sparse
-engine against the dense joint model build + solve.  The gate enforces
-the ``objective_match`` invariant at N=3 — the generalized layer must
-reproduce the dense joint optimum exactly.
+heights, ``fpu3h_4500`` at scale 0.3, the perfbench ``flow5_3h_fpu``
+instance: 231 clusters x 60 pairs, far above the small-problem
+shortcut, so reduced-cost fixing runs at K = 2 minority classes): the
+class-indexed sparse engine against the dense joint model build +
+solve.  The entry records the LP bound, the incumbent and the surviving
+candidate columns.  The gate enforces the ``objective_match`` invariant
+— the engine must reproduce the dense joint optimum exactly.
 
 The ``giga`` group is the 100k-cell tier: the blocked-numpy legalizer
 and B2B kernels re-timed at ``GIGA_N_CELLS`` (reporting ``cells_per_s``
@@ -112,7 +115,8 @@ N_CELLS = 4000
 SEED = 7
 FLOW_TESTCASE = "aes_400"
 RAP_TESTCASE = "aes_400"  # full scale: the instance the paper's ILP sees
-NHEIGHT_TESTCASE = "aes3h_340"  # three-height twin, sweep scale
+NHEIGHT_TESTCASE = "fpu3h_4500"  # three-height twin ...
+NHEIGHT_SCALE = 0.3  # ... at perfbench's flow5_3h_fpu scale
 KERNEL_GROUPS = (
     "legalizers", "topology", "rap", "race", "nheight", "flow", "events",
     "eco", "giga",
@@ -334,7 +338,7 @@ def bench_race(library, repeats):
 
 
 def nheight_instance():
-    """N=3 joint RAP arrays of ``NHEIGHT_TESTCASE`` at the sweep scale.
+    """N=3 joint RAP arrays of ``NHEIGHT_TESTCASE`` at ``NHEIGHT_SCALE``.
 
     Exactly the instance ``FlowRunner.ilp_assignment`` hands to the
     joint solver (default params, ``row_fill`` already applied):
@@ -353,7 +357,7 @@ def nheight_instance():
     heights = HeightSpec(TRACK_6T, tuple(sorted(spec3.minority_tracks)))
     library = make_asap7_library(tracks=(TRACK_6T, TRACK_75T, TRACK_9T))
     params = RCPPParams(heights=heights)
-    design = build_nheight_testcase(spec3, library, scale=DEFAULT_SCALE)
+    design = build_nheight_testcase(spec3, library, scale=NHEIGHT_SCALE)
     init = prepare_initial_placement(design, library, heights=heights)
     runner = FlowRunner(init, params)
     f_by, w_by, _ = runner._cluster_costs()
@@ -410,6 +414,9 @@ def bench_nheight(repeats):
         "objective": float(sparse_solution[0].objective),
         "certified": bool(stats.certified),
         "strategy": stats.strategy,
+        "n_candidates": stats.n_candidates,
+        "lp_bound": stats.lp_bound,
+        "upper_bound": stats.upper_bound,
         "n_classes": len(f_by),
         "tracks": [float(t) for t in tracks],
         "budgets": [int(b) for b in budget_list],
@@ -417,6 +424,7 @@ def bench_nheight(repeats):
         "n_pairs": int(f_by[0].shape[1]),
         "n_cells": int(n_cells),
         "testcase": NHEIGHT_TESTCASE,
+        "scale": NHEIGHT_SCALE,
     }
 
 
