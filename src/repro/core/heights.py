@@ -868,11 +868,16 @@ def _race_rap_level(
     if chosen is not None:
         rung = rungs[chosen]
         prov.backend = rung
-        certified = chosen == result.winner_index
+        stats = result.outcomes[chosen].value["stats"]
+        prov.certified = (
+            stats.certified if rung in EXACT_BACKENDS else None
+        )
+        won = chosen == result.winner_index
         prov.degraded = bool(
-            (not certified and rung != backend)
+            (not won and rung != backend)
             or relaxation is not None
             or result.outcomes[chosen].ran_inline
+            or prov.certified is False
         )
         return "win", assignment
     if infeasible_seen:
@@ -945,7 +950,8 @@ def solve_rap_resilient(
       accumulated so far attached.
 
     All attempts are recorded into ``provenance``; on success its
-    ``backend`` / ``degraded`` fields are set.
+    ``backend`` / ``certified`` / ``degraded`` fields are set (an exact
+    rung answering without an optimality certificate is degraded).
     """
     policy = policy or ResiliencePolicy()
     deadline = deadline or Deadline.unlimited()
@@ -1096,8 +1102,13 @@ def solve_rap_resilient(
                     runtime_s=runtime, relaxation=relaxation,
                 )
                 prov.backend = rung
+                prov.certified = (
+                    stats.certified if rung in EXACT_BACKENDS else None
+                )
                 prov.degraded = bool(
-                    rung != backend or relaxation is not None
+                    rung != backend
+                    or relaxation is not None
+                    or prov.certified is False
                 )
                 return assignment
             if escalate:

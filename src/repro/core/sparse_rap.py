@@ -51,11 +51,19 @@ branch-and-bound time.  The cuts are omitted at a forced ``k = N_P`` so
 that configuration reproduces the full model (and its solver
 trajectory) bit for bit.
 
+*Incumbent and LP-bound certificate.*  The rc-fixing incumbent is the
+cheaper of the warm start (at ``K >= 2`` without one,
+:func:`repro.core.heights.greedy_nheight`) and an LP-rounding
+incumbent (:func:`_lp_rounding_incumbent`): every class's open pairs
+are chosen once, across classes, by largest fractional ``y``, then one
+small transportation MILP per class assigns its clusters to them.  When
+that incumbent's cost meets the LP bound (``z_ub <= z_lp + tol``) it is
+optimal outright: the engine returns it certified without building the
+restricted MILP (``rounds = 0``, outcome ``certified``).
+
 Exactness guarantees apply to the exact backends (``highs``, ``bnb``).
 
-*Not yet ported to* ``K >= 2`` (each behind one ``K == 1`` guard; at
-``K >= 2`` the warm start, else :func:`repro.core.heights.greedy_nheight`,
-is the rc-fixing incumbent):
+*Not yet ported to* ``K >= 2`` (each behind one ``K == 1`` guard):
 
 * **spatial decomposition** — when the pruned cluster<->row-pair
   bipartite graph splits into independent connected components, each
@@ -63,7 +71,6 @@ is the rc-fixing incumbent):
   :func:`repro.utils.supervise.supervised_map` when sizes warrant) and
   an exact DP over component capacities apportions ``N_minR`` across
   components;
-* **the LP-rounding incumbent** (:func:`_lp_rounding_incumbent`);
 * **ECO dirty-cluster repair** (:func:`_solve_eco_repair`);
 * **lagrangian-direct** — the heuristic ``lagrangian`` backend skips the
   MILP entirely and runs its subgradient loop straight on the cost
@@ -120,7 +127,7 @@ class SparseSolveStats:
     n_candidates: int = 0  # x columns in the final restricted model
     n_dense_variables: int = 0
     n_components: int = 1
-    rounds: int = 0  # restricted solves performed
+    rounds: int = 0  # restricted solves performed (0: LP-bound certificate)
     admitted_columns: int = 0  # columns re-admitted by the pricing test
     certified: bool = False  # restricted optimum proven == full optimum
     lp_bound: float | None = None  # strengthened full LP value
@@ -649,32 +656,48 @@ def _dense_lp(
     )
 
 
-def _lp_rounding_incumbent(
+def _rounding_pairs(
+    y_fractional: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+) -> list[np.ndarray]:
+    """Per-class open pairs for LP rounding, chosen once across classes.
+
+    Walks every (class, pair) in order of largest fractional ``y``
+    (larger capacity breaks ties, then class-major index order) and
+    gives each pair to at most one class and each class at most its
+    budget.  At ``K = 1`` this is the ``budget`` largest-``y`` pairs.
+    """
+    n_p = len(pair_capacity)
+    order = np.lexsort(
+        (-np.tile(pair_capacity, len(budgets)), -np.concatenate(y_fractional))
+    )
+    taken = np.zeros(n_p, dtype=bool)
+    chosen: list[list[int]] = [[] for _ in budgets]
+    need = sum(budgets)
+    for idx in order.tolist():
+        h, p = divmod(idx, n_p)
+        if taken[p] or len(chosen[h]) >= budgets[h]:
+            continue
+        taken[p] = True
+        chosen[h].append(p)
+        need -= 1
+        if need == 0:
+            break
+    return [np.sort(np.array(c, dtype=int)) for c in chosen]
+
+
+def _transport(
     f: np.ndarray,
     cluster_width: np.ndarray,
-    pair_capacity: np.ndarray,
-    n_rows: int,
-    y_fractional: np.ndarray,
+    capacity: np.ndarray,
     backend: str,
     time_limit_s: float | None,
-    cancel: object | None = None,
-) -> tuple[np.ndarray, float, float] | None:
-    """Primal heuristic: open the rows the LP wants, assign optimally.
-
-    Fixing the ``N_minR`` pairs with the largest fractional ``y``
-    reduces the RAP to a tiny transportation MILP (``n_c x N_minR``
-    variables) whose optimum is a usually-tight incumbent for
-    reduced-cost fixing.  Returns ``(assignment, cost, solve_s)`` or
-    ``None`` when the fixed-row subproblem cannot fit the minority
-    width.
-    """
-    n_c, _ = f.shape
-    order = np.lexsort((-pair_capacity, -y_fractional))
-    open_pairs = np.sort(order[:n_rows])
-    if pair_capacity[open_pairs].sum() < cluster_width.sum() - 1e-9:
-        return None
-    k = len(open_pairs)
-    sub_f = f[:, open_pairs]
+    cancel: object | None,
+) -> tuple[np.ndarray, float] | None:
+    """Cheapest cluster -> column map of ``f`` under ``capacity``:
+    ``(column per cluster, solve_s)``, or ``None`` without a point."""
+    n_c, k = f.shape
     n_x = n_c * k
     a_eq = sp.coo_matrix(
         (np.ones(n_x), (np.repeat(np.arange(n_c), k), np.arange(n_x))),
@@ -688,12 +711,12 @@ def _lp_rounding_incumbent(
         shape=(k, n_x),
     ).tocsr()
     model = MilpModel(
-        c=sub_f.ravel().astype(float),
+        c=f.ravel().astype(float),
         integrality=np.ones(n_x),
         lb=np.zeros(n_x),
         ub=np.ones(n_x),
         a_ub=a_ub,
-        b_ub=pair_capacity[open_pairs].astype(float),
+        b_ub=capacity.astype(float),
         a_eq=a_eq,
         b_eq=np.ones(n_c),
     )
@@ -702,16 +725,51 @@ def _lp_rounding_incumbent(
     )
     if not solution.ok or solution.x is None:
         return None
-    x = np.round(solution.x).reshape(n_c, k)
+    columns = np.argmax(np.round(solution.x).reshape(n_c, k), axis=1)
+    return columns, solution.runtime_s
+
+
+def _lp_rounding_incumbent(
+    f_by_class: list[np.ndarray],
+    width_by_class: list[np.ndarray],
+    pair_capacity: np.ndarray,
+    budgets: list[int],
+    y_fractional: list[np.ndarray],
+    backend: str,
+    left,
+    cancel: object | None = None,
+) -> tuple[list[np.ndarray], float, float] | None:
+    """Primal heuristic: open the pairs the LP wants, assign optimally.
+
+    Fixing each class's open pairs (:func:`_rounding_pairs`) reduces the
+    RAP to one tiny transportation MILP per class (``n_c x budget``
+    variables) whose optimum is a usually-tight incumbent for
+    reduced-cost fixing.  Returns ``(per-class maps, cost, solve_s)``,
+    or ``None`` when some class's pairs cannot hold its width or the
+    rounding leaves a pair unused.
+    """
+    maps: list[np.ndarray] = []
+    solve_s = 0.0
+    for f, w, open_pairs in zip(
+        f_by_class, width_by_class,
+        _rounding_pairs(y_fractional, pair_capacity, budgets),
+    ):
+        if pair_capacity[open_pairs].sum() < w.sum() - 1e-9:
+            return None
+        solved = _transport(
+            f[:, open_pairs], w, pair_capacity[open_pairs], backend, left(),
+            cancel,
+        )
+        if solved is None:
+            return None
+        maps.append(open_pairs[solved[0]])
+        solve_s += solved[1]
     feasible = feasible_assignment(
-        [open_pairs[np.argmax(x, axis=1)]],
-        [cluster_width],
-        pair_capacity,
-        [n_rows],
+        maps, width_by_class, pair_capacity, budgets
     )
     if feasible is None:  # degenerate rounding left a pair unused
         return None
-    return feasible[0], assignment_cost([f], feasible), solution.runtime_s
+    return feasible, assignment_cost(f_by_class, feasible), solve_s
 
 
 def _candidate_components(
@@ -1333,12 +1391,16 @@ def _solve_pruned(
         ]
         return [m for m, _ in widened], [k for _, k in widened]
 
-    def warm_solution() -> MilpSolution:
-        """The warm assignment as a full-layout FEASIBLE incumbent."""
+    # The cheapest feasible assignment known so far: what a budget exit
+    # returns when the restricted MILP leaves nothing better.
+    best = warm
+
+    def best_solution() -> MilpSolution:
+        """The best incumbent as a full-layout FEASIBLE solution."""
         return MilpSolution(
             status=MilpStatus.FEASIBLE,
-            x=_dense_vector(warm, n_cs, n_p),
-            objective=assignment_cost(f_by_class, warm),
+            x=_dense_vector(best, n_cs, n_p),
+            objective=assignment_cost(f_by_class, best),
         )
 
     if forced:
@@ -1349,10 +1411,24 @@ def _solve_pruned(
     else:
         stats.strategy = "rc-fixing"
         with span("rap.sparse.candidates") as cand_span:
-            lp = _dense_lp(
-                f_by_class, width_by_class, pair_capacity, budgets,
-                time_limit_s=left(),
-            )
+            source = "warm"
+            if warm is None and K > 1:
+                # The greedy assignment stands in for a missing warm
+                # start: an incumbent for rc fixing and budget exits.
+                from repro.core.heights import greedy_nheight
+
+                best = warm = greedy_nheight(
+                    f_by_class, width_by_class, pair_capacity, budgets
+                )
+                source = "greedy"
+            with span("rap.sparse.lp") as lp_span:
+                lp = _dense_lp(
+                    f_by_class, width_by_class, pair_capacity, budgets,
+                    time_limit_s=left(),
+                )
+                lp_span.annotate(
+                    lp_bound=lp.objective if isinstance(lp, _LpInfo) else None
+                )
             if isinstance(lp, MilpSolution):  # LP proves infeasibility
                 root.annotate(outcome="infeasible")
                 stats.solve_s += lp.runtime_s
@@ -1363,36 +1439,32 @@ def _solve_pruned(
                 lp_info = lp
                 stats.lp_bound = lp.objective
                 stats.solve_s += lp.runtime_s
-                if K == 1:
+                with span("rap.sparse.incumbent") as inc_span:
                     # The LP-rounding incumbent when it is no worse than
                     # the warm start, else the warm start.
+                    incumbent = warm
                     rounded = _lp_rounding_incumbent(
-                        f_by_class[0], width_by_class[0], pair_capacity,
-                        budgets[0], lp.y_fractional[0], backend, left(),
-                        cancel=cancel,
+                        f_by_class, width_by_class, pair_capacity, budgets,
+                        lp.y_fractional, backend, left, cancel=cancel,
                     )
                     if rounded is not None:
                         stats.solve_s += rounded[2]
-                    z_warm = (
-                        assignment_cost(f_by_class, warm)
-                        if warm is not None
-                        else np.inf
-                    )
-                    incumbent = (
-                        [rounded[0]]
-                        if rounded is not None and rounded[1] <= z_warm
-                        else warm
-                    )
-                else:
-                    from repro.core.heights import greedy_nheight
-
-                    incumbent = warm or greedy_nheight(
-                        f_by_class, width_by_class, pair_capacity, budgets
-                    )
+                        if warm is None or rounded[1] <= assignment_cost(
+                            f_by_class, warm
+                        ):
+                            incumbent, source = rounded[0], "lp-rounding"
+                    if incumbent is not None:
+                        best = incumbent
+                        z_ub = assignment_cost(f_by_class, incumbent)
+                        tol = 1e-6 * max(1.0, abs(z_ub))
+                        gap_closed = z_ub <= lp.objective + tol
+                        inc_span.annotate(
+                            source=source,
+                            upper_bound=z_ub,
+                            gap_closed=gap_closed,
+                        )
             if incumbent is not None:
-                z_ub = assignment_cost(f_by_class, incumbent)
                 stats.upper_bound = z_ub
-                tol = 1e-6 * max(1.0, abs(z_ub))
                 masks = [
                     lp_info.objective + rc <= z_ub + tol
                     for rc in lp_info.reduced_costs
@@ -1405,12 +1477,33 @@ def _solve_pruned(
                 ks = [int(m.sum(axis=1).max()) for m in masks]
                 if warm is None:
                     warm = incumbent
+                stats.n_candidates = int(sum(m.sum() for m in masks))
                 cand_span.annotate(
                     strategy="rc-fixing",
-                    n_candidates=int(sum(m.sum() for m in masks)),
+                    n_candidates=stats.n_candidates,
                     lp_bound=lp_info.objective,
                     upper_bound=z_ub,
                 )
+                if gap_closed:
+                    # LP-bound certificate: no assignment beats the LP
+                    # bound, so the incumbent meeting it is optimal and
+                    # the restricted MILP has nothing left to prove.
+                    stats.k_initial = stats.k_final = max(ks)
+                    stats.certified = True
+                    observe(
+                        "rap.sparse",
+                        round=0,
+                        n_candidates=stats.n_candidates,
+                        components=1,
+                        objective=z_ub,
+                        admitted=0,
+                    )
+                    root.annotate(outcome="certified", objective=z_ub)
+                    return MilpSolution(
+                        status=MilpStatus.OPTIMAL,
+                        x=_dense_vector(incumbent, n_cs, n_p),
+                        objective=z_ub,
+                    )
             else:
                 # No LP or no incumbent: adaptive top-k fallback.
                 stats.strategy = "top-k"
@@ -1480,11 +1573,11 @@ def _solve_pruned(
                 # Only the *restricted* problem is proven infeasible;
                 # without budget to widen the candidate set that is a
                 # solve failure, not an infeasibility verdict (the
-                # caller would wrongly relax).  A warm assignment still
+                # caller would wrongly relax).  The best incumbent still
                 # beats no answer.
                 root.annotate(outcome="budget_exhausted")
-                if warm is not None:
-                    return warm_solution()
+                if best is not None:
+                    return best_solution()
                 return MilpSolution(
                     status=MilpStatus.ERROR, x=None, objective=np.inf
                 )
@@ -1495,11 +1588,11 @@ def _solve_pruned(
                 )
             continue
         if not solution.ok or solution.x is None:
-            if spent() and warm is not None:
+            if spent() and best is not None:
                 # The restricted solve died on the budget's last
-                # sliver; the warm assignment still beats erroring.
+                # sliver; the best incumbent still beats erroring.
                 root.annotate(outcome="budget_exhausted")
-                return warm_solution()
+                return best_solution()
             root.annotate(outcome=solution.status.value)
             return solution  # timeout/error: caller's problem
 
@@ -1511,6 +1604,10 @@ def _solve_pruned(
             # An incumbent under a time limit carries no optimality
             # certificate, so the pricing test cannot run.
             root.annotate(outcome="uncertified")
+            if best is not None and (
+                assignment_cost(f_by_class, best) < solution.objective
+            ):
+                return best_solution()
             return solution
 
         # Pricing test: can any pruned column beat this optimum?

@@ -304,7 +304,10 @@ class FlowProvenance:
 
     ``degraded`` is True whenever the answer is not the one the caller
     asked for: a fallback rung answered, a constraint relaxation was
-    applied, or the legalizer fell back.  Table IV-style comparisons use
+    applied, an exact rung answered without proving optimality, or the
+    legalizer fell back.  ``certified`` is the answering exact rung's
+    optimality certificate (``None`` when a heuristic rung, the SA rung
+    or the baseline answered).  Table IV-style comparisons use
     it to flag non-exact rows instead of silently mixing results.
 
     ``spans`` is the flow's span tree in :meth:`repro.obs.Span.to_dict`
@@ -316,6 +319,7 @@ class FlowProvenance:
     backend: str | None = None  # who produced the row assignment
     legalizer: str | None = None
     degraded: bool = False
+    certified: bool | None = None
     attempts: list[RungRecord] = field(default_factory=list)
     relaxations: list[str] = field(default_factory=list)
     budget_s: float | None = None
@@ -374,6 +378,7 @@ class FlowProvenance:
             "backend": self.backend,
             "legalizer": self.legalizer,
             "degraded": self.degraded,
+            "certified": self.certified,
             "relaxations": list(self.relaxations),
             "budget_s": self.budget_s,
             "budget_spent_s": self.budget_spent_s,
@@ -399,6 +404,8 @@ class FlowProvenance:
             return "unconstrained"
         tag = "degraded" if self.degraded else "ok"
         parts = [f"{tag}({self.backend or '-'})"]
+        if self.certified is not None:
+            parts.append("certified" if self.certified else "uncertified")
         n_fail = len(self.fallbacks)
         if n_fail:
             parts.append(f"{n_fail} failed attempt(s)")

@@ -24,12 +24,19 @@ from repro.core.params import RCPPParams
 from repro.core.rap import build_rap_model, validate_rap_inputs
 from repro.core.heights import solve_rap_resilient
 from repro.core.sparse_rap import (
+    _dense_lp,
+    _lp_rounding_incumbent,
+    _rounding_pairs,
     adaptive_candidate_count,
+    assignment_cost,
     build_sparse_rap_model,
+    feasible_assignment,
     solve_rap_sparse,
 )
-from repro.solvers.milp import MilpStatus, solve_milp
+from repro.obs.trace import Tracer
+from repro.solvers.milp import MilpSolution, MilpStatus, solve_milp
 from repro.utils.errors import InfeasibleError, ValidationError
+from repro.utils.resilience import FlowProvenance
 
 EXACT_BACKENDS = ("highs", "bnb")
 ALL_BACKENDS = ("highs", "bnb", "lagrangian")
@@ -77,6 +84,38 @@ def random_class_instance(seed, n_classes):
     while sum(budgets) > n_p - (n_classes - 1):
         budgets[int(np.argmax(budgets))] -= 1
     return f_by, w_by, cap, budgets
+
+
+def spatial_instance(seed, sizes, n_p, budgets):
+    """Row-structured instance: cost ~ |cluster y - pair y| x width plus
+    noise, pairs at y = 0..n_p-1, one cluster-size entry per class.
+
+    Spatial costs give the LP-rounding incumbent its realistic shape
+    (uniform random costs make the full model needlessly hard).
+    """
+    rng = np.random.default_rng(seed)
+    pair_y = np.arange(n_p, dtype=float)
+    f_by, w_by = [], []
+    for n_c in sizes:
+        cluster_y = rng.uniform(0.0, n_p - 1.0, n_c)
+        w = rng.uniform(1.0, 4.0, n_c)
+        f_by.append(
+            np.abs(cluster_y[:, None] - pair_y[None, :]) * w[:, None]
+            + rng.uniform(0.0, 1.0, (n_c, n_p))
+        )
+        w_by.append(w)
+    cap = np.full(
+        n_p, max(w.sum() / (b - 0.5) for w, b in zip(w_by, budgets))
+    )
+    return f_by, w_by, cap, list(budgets)
+
+
+#: (cluster sizes, pairs, budgets) of the spatial instances per class count.
+SPATIAL = {
+    1: ([30], 12, [4]),
+    2: ([20, 16], 14, [3, 3]),
+    3: ([14, 12, 10], 15, [3, 2, 2]),
+}
 
 
 class TestValidation:
@@ -419,12 +458,9 @@ class TestTotalBudget:
         warm_cost = float(f[np.arange(f.shape[0]), warm].sum())
         assert solution.objective <= warm_cost + 1e-6
 
-    def test_budget_bounds_joint_solve(self):
+    def _joint(self):
         # Two classes, 260 + 200 clusters x 70 pairs: the strengthened
-        # LP alone takes far longer than the 0.5 s budget.  The budget caps
-        # the LP and every restricted MILP, so the solve ends soon after
-        # the limit (an engine handing the LP no limit and each MILP the
-        # full one took ~9 s here), and its answer is not certified.
+        # LP alone takes far longer than a 0.5 s budget.
         rng = np.random.default_rng(34)
         n_p = 70
         f_by = [rng.uniform(0.0, 100.0, size=(n, n_p)) for n in (260, 200)]
@@ -433,6 +469,14 @@ class TestTotalBudget:
         cap = np.full(
             n_p, max(w.sum() / (b - 2) for w, b in zip(w_by, budgets))
         )
+        return f_by, w_by, cap, budgets
+
+    def test_budget_bounds_joint_solve(self):
+        # The budget caps the LP and every restricted MILP, so the solve
+        # ends soon after the limit (an engine handing the LP no limit
+        # and each MILP the full one took ~9 s here), and its answer is
+        # not certified.
+        f_by, w_by, cap, budgets = self._joint()
         t0 = time.perf_counter()
         solution, _, stats = solve_rap_sparse(
             f_by, w_by, cap, budgets, time_limit_s=0.5
@@ -443,11 +487,167 @@ class TestTotalBudget:
         assert not stats.certified
         assert solution.status is not MilpStatus.OPTIMAL
 
+    def test_budget_limited_joint_solve_degraded(self):
+        """Through the resilient chain the uncertified exact answer is
+        labelled: ``certified is False`` and ``degraded``."""
+        f_by, w_by, cap, budgets = self._joint()
+        prov = FlowProvenance()
+        assignment = solve_rap_resilient(
+            f_by, w_by, cap, budgets, [np.arange(len(f)) for f in f_by],
+            [7.5, 9.0], time_limit_s=0.5, row_fill=1.0, provenance=prov,
+        )
+        assert assignment is not None
+        assert prov.backend == "highs"
+        assert prov.certified is False
+        assert prov.degraded
+        assert prov.to_dict()["certified"] is False
+        assert "uncertified" in prov.summary()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_certified_answer_recorded_on_both_chains(self, workers):
+        """Sequential and raced chains carry the answering rung's
+        certificate into the provenance."""
+        f, w, cap, n_minr = random_instance(23)
+        prov = FlowProvenance()
+        assignment = solve_rap_resilient(
+            [f], [w], cap, [n_minr], [np.arange(f.shape[0])], [7.5],
+            row_fill=1.0, provenance=prov, workers=workers,
+        )
+        assert assignment is not None
+        assert prov.certified is True
+        assert not prov.degraded
+        assert prov.to_dict()["certified"] is True
+
+    def test_budget_exit_returns_best_incumbent(self, monkeypatch):
+        """A restricted MILP that spends the budget and returns no point
+        hands back the cheapest known assignment — the LP-rounding
+        incumbent here — not the caller's greedy warm start."""
+        from repro.core import sparse_rap
+        from repro.core.rap import greedy_rap
+
+        sizes, n_p, budgets = SPATIAL[1]
+        f_by, w_by, cap, budgets = spatial_instance(1, sizes, n_p, budgets)
+        greedy = greedy_rap(f_by[0], w_by[0], cap, budgets[0])
+        lp = _dense_lp(f_by, w_by, cap, budgets)
+        _, z_rounded, _ = _lp_rounding_incumbent(
+            f_by, w_by, cap, budgets, lp.y_fractional, "highs", lambda: None
+        )
+        z_greedy = assignment_cost(f_by, [greedy])
+        assert z_rounded < z_greedy
+        assert z_rounded > lp.objective + 1e-6  # no LP-bound certificate
+
+        real_solve = sparse_rap.solve_milp
+
+        def spend_budget(model, **kwargs):
+            # The restricted solves pass a warm start; the rounding
+            # incumbent's transportation MILPs do not.
+            if "warm_start" not in kwargs:
+                return real_solve(model, **kwargs)
+            time.sleep(kwargs["time_limit_s"])
+            return MilpSolution(
+                status=MilpStatus.ERROR, x=None, objective=np.inf
+            )
+
+        monkeypatch.setattr(sparse_rap, "solve_milp", spend_budget)
+        solution, _, stats = solve_rap_sparse(
+            f_by, w_by, cap, budgets, time_limit_s=0.5,
+            warm_assignment=[greedy],
+        )
+        assert solution.status is MilpStatus.FEASIBLE
+        assert not stats.certified
+        assert solution.objective == pytest.approx(z_rounded)
+        assert solution.objective <= z_greedy
+
     def test_unlimited_budget_still_certifies(self):
         f, w, cap, n_minr = random_instance(33, n_c=12, n_p=9)
         solution, _, stats = solve_rap_sparse([f], [w], cap, [n_minr])
         assert solution.status is MilpStatus.OPTIMAL
         assert stats.certified
+
+
+class TestLpRoundingIncumbent:
+    """The class-indexed LP-rounding incumbent and the LP-bound exit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_p=st.integers(1, 12),
+    )
+    def test_single_class_pair_choice_is_lexsort_top_n(self, data, n_p):
+        """At one class the joint pair choice is the ``budget`` pairs of
+        largest fractional y, larger capacity breaking ties (ties are
+        drawn on purpose)."""
+        y = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n_p,
+            max_size=n_p,
+        )))
+        cap = np.array(data.draw(st.lists(
+            st.sampled_from([1.0, 2.0, 3.0]), min_size=n_p, max_size=n_p,
+        )))
+        n_rows = data.draw(st.integers(1, n_p))
+        (chosen,) = _rounding_pairs([y], cap, [n_rows])
+        expected = np.sort(np.lexsort((-cap, -y))[:n_rows])
+        assert np.array_equal(chosen, expected)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_joint_incumbent_exclusive_bounded_and_prunes(
+        self, n_classes, seed
+    ):
+        sizes, n_p, budgets = SPATIAL[n_classes]
+        f_by, w_by, cap, budgets = spatial_instance(seed, sizes, n_p, budgets)
+        lp = _dense_lp(f_by, w_by, cap, budgets)
+        rounded = _lp_rounding_incumbent(
+            f_by, w_by, cap, budgets, lp.y_fractional, "highs", lambda: None
+        )
+        assert rounded is not None
+        maps, z_ub, _ = rounded
+        opened = [set(np.unique(a).tolist()) for a in maps]
+        assert [len(o) for o in opened] == budgets
+        assert sum(len(o) for o in opened) == len(set().union(*opened))
+        assert feasible_assignment(maps, w_by, cap, budgets) is not None
+        assert z_ub == pytest.approx(assignment_cost(f_by, maps))
+        assert z_ub >= lp.objective - 1e-6 * max(1.0, abs(z_ub))
+        _, _, stats = solve_rap_sparse(f_by, w_by, cap, budgets)
+        assert stats.strategy == "rc-fixing"
+        assert stats.n_candidates < sum(f.size for f in f_by)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_gap_closed_exit_returns_full_optimum(self, n_classes):
+        """When the incumbent meets the LP bound the engine returns it
+        certified without a restricted MILP (``rounds == 0``)."""
+        sizes, n_p, budgets = SPATIAL[n_classes]
+        f_by, w_by, cap, budgets = spatial_instance(0, sizes, n_p, budgets)
+        full = solve_milp(
+            build_sparse_rap_model(f_by, w_by, cap, budgets).model,
+            backend="highs",
+        )
+        solution, maps, stats = solve_rap_sparse(f_by, w_by, cap, budgets)
+        assert stats.rounds == 0
+        assert stats.certified
+        assert solution.status is MilpStatus.OPTIMAL
+        assert solution.objective == pytest.approx(full.objective, abs=1e-6)
+        assert stats.upper_bound == pytest.approx(stats.lp_bound, abs=1e-6)
+        assert assignment_cost(f_by, maps) == solution.objective
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_lp_and_incumbent_spans_nest_under_root(self, n_classes):
+        sizes, n_p, budgets = SPATIAL[n_classes]
+        f_by, w_by, cap, budgets = spatial_instance(1, sizes, n_p, budgets)
+        tracer = Tracer("t")
+        with tracer.activate():
+            _, _, stats = solve_rap_sparse(f_by, w_by, cap, budgets)
+        (root,) = tracer.roots
+        assert root.name == "rap.sparse"
+        lp_span = root.find("rap.sparse.lp")
+        incumbent_span = root.find("rap.sparse.incumbent")
+        assert lp_span is not None and incumbent_span is not None
+        assert lp_span.attrs["lp_bound"] == stats.lp_bound
+        assert incumbent_span.attrs["source"] in (
+            "lp-rounding", "warm", "greedy"
+        )
+        assert incumbent_span.attrs["upper_bound"] == stats.upper_bound
+        assert incumbent_span.attrs["gap_closed"] == (stats.rounds == 0)
 
 
 class TestKernels:
